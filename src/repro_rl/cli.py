@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import ConstantPolicy, Policy, PolicyParams, derive_stream
+from .core import ConstantPolicy, NumericFailure, Policy, PolicyParams, derive_stream
 from .envs import BUILTIN_ENVS, EnvConfig
 from .metrics import (
     DISP_ESTIMATORS,
@@ -518,7 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True, help="experiment config JSON")
     p_train.add_argument("--out", required=True, help="output directory")
     p_train.add_argument("--seeds", help="comma-separated seed override")
-    p_train.add_argument("--jobs", type=int, default=1, help="worker threads")
+    p_train.add_argument(
+        "--jobs", type=int, default=1, help="accepted; changes neither results nor speed"
+    )
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a policy under noise")
@@ -528,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--seeds", help="comma-separated seed override")
     p_eval.add_argument("--policy-id", help="identifier used in artifacts")
     p_eval.add_argument(
-        "--jobs", type=int, default=1, help="worker threads; results do not depend on it"
+        "--jobs", type=int, default=1, help="accepted; changes neither results nor speed"
     )
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -566,7 +568,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except DataError as e:
+    except (DataError, NumericFailure) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except ValueError as e:

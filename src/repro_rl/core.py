@@ -135,6 +135,37 @@ class ConstantPolicy:
 Policy = Union[PolicyParams, ConstantPolicy]
 
 
+def dense_layers(theta: np.ndarray, arch: tuple) -> list:
+    """Views (W, b) of each layer of flat parameters `theta`.
+
+    `theta` is one vector of shape (P,) or one per row, shape (..., P); the
+    views then have shapes (..., n_in, n_out) and (..., n_out).
+    """
+    lead = theta.shape[:-1]
+    layers = []
+    offset = 0
+    for n_in, n_out in zip(arch[:-1], arch[1:]):
+        w = theta[..., offset : offset + n_in * n_out].reshape(*lead, n_in, n_out)
+        offset += n_in * n_out
+        layers.append((w, theta[..., offset : offset + n_out]))
+        offset += n_out
+    return layers
+
+
+def dense_forward(layers: list, activation: str, x: np.ndarray) -> np.ndarray:
+    """Forward pass of observation rows `x` (..., n_in) through `layers`.
+
+    Each output sums its inputs in index order (einsum, not BLAS), so a row's
+    bits do not depend on how many rows run together or on whether the
+    weights are shared by all rows or given per row.
+    """
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        z = np.einsum("...i,...io->...o", x, w) + b
+        x = np.tanh(z) if i == last or activation == "tanh" else np.maximum(z, 0.0)
+    return x
+
+
 def policy_forward(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
     """Deterministic forward pass; returns the action vector in [-1, 1]."""
     obs = np.asarray(obs, dtype=np.float64)
@@ -143,23 +174,7 @@ def policy_forward(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
             f"obs must have shape ({params.arch[0]},), got {obs.shape}"
         )
     _require_finite("obs", obs)
-    x = obs
-    offset = 0
-    n_layers = len(params.arch) - 1
-    for i in range(n_layers):
-        n_in, n_out = params.arch[i], params.arch[i + 1]
-        w = params.theta[offset : offset + n_in * n_out].reshape(n_in, n_out)
-        offset += n_in * n_out
-        b = params.theta[offset : offset + n_out]
-        offset += n_out
-        z = x @ w + b
-        if i == n_layers - 1:
-            x = np.tanh(z)
-        elif params.activation == "relu":
-            x = np.maximum(z, 0.0)
-        else:
-            x = np.tanh(z)
-    return x
+    return dense_forward(dense_layers(params.theta, params.arch), params.activation, obs)
 
 
 def policy_action(policy: Policy, obs: np.ndarray) -> np.ndarray:
@@ -206,25 +221,28 @@ def derive_stream(master_seed: int, purpose_tag: str, index: int) -> RngStream:
 
 @dataclass
 class Trajectory:
-    """One finished episode.
+    """One finished episode, or a block of them.
 
     `states` holds the true environment state at each of the T decision
     points (before each action); `final_state` is the state after the last
     step. `observations` is what the policy actually saw, which differs from
     `states` only under observation noise. `actions` are the executed
     actions, after any action noise and box clipping.
+
+    A block of episodes stepped together carries a leading rows axis on
+    every field, and `episode_return` is then an array of shape (rows,).
     """
 
     states: np.ndarray
     observations: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
-    episode_return: float
+    episode_return: Union[float, np.ndarray]
     final_state: np.ndarray
 
     def state_marginal(self) -> np.ndarray:
         """Flattened visited-state sequence, length episode_length * state_dim."""
-        return self.states.ravel()
+        return self.states.reshape(*self.states.shape[:-2], -1)
 
 
 @dataclass

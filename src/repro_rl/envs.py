@@ -13,7 +13,7 @@ Two families:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -175,20 +175,17 @@ def _check_action(cfg: EnvConfig, action: np.ndarray) -> np.ndarray:
     return action
 
 
-def transition(
-    cfg: EnvConfig, vec: np.ndarray, action: np.ndarray, gen: np.random.Generator
-) -> Tuple[np.ndarray, float]:
-    """State update only. Returns (next_vec, aux) where aux carries the
-    environment's own random draw (the bandit U; 0.0 for point-mass)."""
+def transition(cfg: EnvConfig, vec: np.ndarray, action: np.ndarray) -> np.ndarray:
+    """Next state of state rows `vec` (..., state_dim) under actions
+    (..., action_dim). Deterministic: the bandit's own draw enters the
+    reward, not the state."""
     if cfg.family == "point-mass":
-        vel = vec[2:] + action * cfg.dt
-        speed = float(np.sqrt(vel[0] * vel[0] + vel[1] * vel[1]))
-        if speed > cfg.v_max:
-            vel = vel * (cfg.v_max / speed)
-        pos = vec[:2] + vel * cfg.dt
-        return np.concatenate([pos, vel]), 0.0
-    u = float(gen.uniform(-1.0, 1.0))
-    return vec.copy(), u
+        vel = vec[..., 2:] + action * cfg.dt
+        vx, vy = vel[..., 0], vel[..., 1]
+        # Scales by exactly 1.0 at or below the cap.
+        vel *= (cfg.v_max / np.maximum(np.sqrt(vx * vx + vy * vy), cfg.v_max))[..., None]
+        return np.concatenate([vec[..., :2] + vel * cfg.dt, vel], axis=-1)
+    return vec.copy()
 
 
 def reward(
@@ -196,15 +193,16 @@ def reward(
     prev_vec: np.ndarray,
     action: np.ndarray,
     next_vec: np.ndarray,
-    aux: float,
-) -> float:
-    """Reward as a pure function of (s_t, a_t, s_{t+1}) plus the env draw."""
+    u: Union[np.ndarray, float],
+) -> Union[np.ndarray, float]:
+    """Reward of rows (s_t, a_t, s_{t+1}) plus the env draw `u`, the bandit's
+    Uniform(-1, 1) (unused by point-mass)."""
     if cfg.family == "point-mass":
-        dx = next_vec[0] - cfg.goal[0]
-        dy = next_vec[1] - cfg.goal[1]
-        return -float(np.sqrt(dx * dx + dy * dy))
-    a = float(action[0])
-    return cfg.mean_base + cfg.mean_slope * a + cfg.spread_max * a * aux
+        dx = next_vec[..., 0] - cfg.goal[0]
+        dy = next_vec[..., 1] - cfg.goal[1]
+        return -np.sqrt(dx * dx + dy * dy)
+    a = action[..., 0]
+    return cfg.mean_base + cfg.mean_slope * a + cfg.spread_max * a * u
 
 
 def env_step(
@@ -216,8 +214,9 @@ def env_step(
             f"episode of length {cfg.episode_length} already finished"
         )
     action = _check_action(cfg, action)
-    next_vec, aux = transition(cfg, state.vec, action, gen)
-    r = reward(cfg, state.vec, action, next_vec, aux)
+    u = float(gen.uniform(-1.0, 1.0)) if cfg.family == "bandit" else 0.0
+    next_vec = transition(cfg, state.vec, action)
+    r = float(reward(cfg, state.vec, action, next_vec, u))
     next_state = EnvState(vec=next_vec, timestep=state.timestep + 1)
     return next_state, r, next_state.timestep >= cfg.episode_length
 
@@ -230,13 +229,13 @@ def descriptor(cfg: EnvConfig, traj) -> np.ndarray:
     """Behaviour descriptor of a finished episode.
 
     Point-mass episodes are summarised by the final position; bandit episodes
-    by the executed action.
+    by the executed action. A block of episodes gives one row per episode.
     """
-    if traj.rewards.shape[0] != cfg.episode_length:
+    if traj.rewards.shape[-1] != cfg.episode_length:
         raise ValueError(
-            f"trajectory has {traj.rewards.shape[0]} steps, "
+            f"trajectory has {traj.rewards.shape[-1]} steps, "
             f"expected {cfg.episode_length}"
         )
     if cfg.family == "point-mass":
-        return np.asarray(traj.final_state[:2], dtype=np.float64).copy()
-    return np.asarray(traj.actions[0], dtype=np.float64).copy()
+        return traj.final_state[..., :2].copy()
+    return traj.actions[..., 0, :].copy()

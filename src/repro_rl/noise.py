@@ -5,8 +5,8 @@ Gaussian with scale `sigma` and are drawn from dedicated substreams, never
 from the environment's own stream, so switching kinds does not shift the
 environment draws.
 
-Draw order contract (the accelerated rollout path pregenerates arrays and
-must consume draws in exactly this order):
+Draw order contract. Each rollout draws from its own init and noise
+substreams in exactly this order, as a step-by-step loop would:
 
 * init-state: position draws once at reset, from the init stream.
 * param, per-episode: one theta-sized draw before the first step.
@@ -16,17 +16,21 @@ must consume draws in exactly this order):
 * action: one action-sized draw per step.
 * dynamics: one state-sized draw per step.
 * reward: one scalar draw per step.
+
+The rollout engine takes all of a rollout's noise-stream draws in one array
+before the first step (`episode_draw_shape`); one array draw yields the
+same values as the step-by-step draws. Only per-step parameter noise is
+drawn as the episode runs, one theta-sized row per rollout per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .core import PolicyParams
-from .envs import ACTION_HIGH, ACTION_LOW, EnvConfig, EnvState, env_reset, reward, transition
+from .envs import EnvConfig
 
 KINDS = ("none", "action", "obs", "reward", "param", "init-state", "dynamics")
 
@@ -109,95 +113,20 @@ def n_init_dims(cfg: EnvConfig) -> int:
     return 2 if cfg.family == "point-mass" else cfg.state_dim
 
 
-def wrap_params(
-    params: PolicyParams, noise: NoiseConfig, gen: np.random.Generator
-) -> PolicyParams:
-    """Parameter-noise draw: theta + sigma * epsilon, one epsilon per call."""
-    if noise.kind != "param":
-        raise ValueError(f"wrap_params needs kind 'param', got {noise.kind!r}")
-    if not isinstance(params, PolicyParams):
-        raise TypeError("parameter noise requires a PolicyParams policy")
-    eps = gen.standard_normal(params.theta.shape[0])
-    return PolicyParams(
-        theta=params.theta + noise.sigma * eps,
-        arch=params.arch,
-        activation=params.activation,
-    )
+def episode_draw_shape(
+    noise: NoiseConfig, env_cfg: EnvConfig, n_params: int
+) -> Optional[tuple]:
+    """Shape of one rollout's noise-stream draws, taken before its first step.
 
-
-def wrap_reset(
-    cfg: EnvConfig, noise: NoiseConfig, init_gen: np.random.Generator
-) -> EnvState:
-    """Reset with optional initial-state perturbation of the position dims."""
-    state = env_reset(cfg)
-    if noise.kind == "init-state":
-        k = n_init_dims(cfg)
-        state.vec[:k] += noise.sigma * init_gen.standard_normal(k)
-    return state
-
-
-def observe(
-    noise: NoiseConfig, state_vec: np.ndarray, noise_gen: np.random.Generator
-) -> np.ndarray:
-    """Observation emitted for the current state (noisy under obs noise)."""
-    if noise.kind == "obs":
-        return state_vec + noise.sigma * noise_gen.standard_normal(state_vec.shape[0])
-    return state_vec.copy()
-
-
-def wrap_step(
-    cfg: EnvConfig,
-    noise: NoiseConfig,
-    state: EnvState,
-    action: np.ndarray,
-    env_gen: np.random.Generator,
-    noise_gen: np.random.Generator,
-    observation: Optional[np.ndarray] = None,
-) -> Tuple[EnvState, float, bool, np.ndarray, np.ndarray]:
-    """One noisy step.
-
-    `observation` is the (possibly noisy) observation of the current state,
-    needed so observation noise can feed the reward its noisy arguments.
-    Returns (next_state, reward, done, next_observation, executed_action).
+    None when nothing is drawn up front: no noise, init-state noise (drawn
+    from the init stream) and per-step parameter noise.
     """
-    from .core import EpisodeFinished
-    from .envs import _check_action
-
-    if state.timestep >= cfg.episode_length:
-        raise EpisodeFinished(
-            f"episode of length {cfg.episode_length} already finished"
-        )
-
-    action = np.asarray(action, dtype=np.float64)
-    if noise.kind == "action":
-        eps = noise_gen.standard_normal(cfg.action_dim)
-        exec_action = np.clip(action + noise.sigma * eps, ACTION_LOW, ACTION_HIGH)
-    else:
-        exec_action = action
-    exec_action = _check_action(cfg, exec_action)
-
-    next_vec, aux = transition(cfg, state.vec, exec_action, env_gen)
-    if noise.kind == "dynamics":
-        next_vec = next_vec + noise.sigma * noise_gen.standard_normal(cfg.state_dim)
-
-    if noise.kind == "obs":
-        next_obs = next_vec + noise.sigma * noise_gen.standard_normal(cfg.state_dim)
-    else:
-        next_obs = next_vec.copy()
-
-    if noise.kind == "obs" and noise.obs_affects_reward:
-        if observation is None:
-            raise ValueError(
-                "observation noise with obs_affects_reward needs the current "
-                "observation; call observe() first"
-            )
-        r = reward(cfg, observation, exec_action, next_obs, aux)
-    else:
-        r = reward(cfg, state.vec, exec_action, next_vec, aux)
-
-    if noise.kind == "reward":
-        r += noise.sigma * float(noise_gen.standard_normal())
-
-    next_state = EnvState(vec=next_vec, timestep=state.timestep + 1)
-    done = next_state.timestep >= cfg.episode_length
-    return next_state, float(r), done, next_obs, exec_action
+    n_steps = env_cfg.episode_length
+    if noise.kind == "param":
+        return (n_params,) if noise.resample == "per-episode" else None
+    return {
+        "obs": (n_steps + 1, env_cfg.state_dim),
+        "action": (n_steps, env_cfg.action_dim),
+        "dynamics": (n_steps, env_cfg.state_dim),
+        "reward": (n_steps,),
+    }.get(noise.kind)

@@ -1,40 +1,57 @@
-"""Rollout harness: run episodes under a noise model and collect records.
+"""Rollout engine: run episodes under a noise model and collect records.
 
 Every rollout i of an evaluation owns three derived substreams,
 (master_seed, "init", i), (master_seed, "noise", i) and (master_seed,
-"env", i), so rollout i is the same whether it runs alone, in a batch of
-256, or on eight worker threads. Streams a rollout does not need are never
-materialised; by construction that cannot shift any other stream.
+"env", i), so rollout i is the same whether it runs alone or in a batch of
+any size. Streams a rollout does not need are never materialised; by
+construction that cannot shift any other stream.
 
-Point-mass episodes with a network policy run through the compiled kernel
-in `_accel` (or its numpy twin); everything else takes the generic per-step
-path. Within one path results are bit-reproducible.
+The engine is batched and lockstep: a block of rollouts steps together as
+(rows, ...) arrays. Each rollout's draws are taken from its own substreams
+up front, in the order documented in `noise`. The forward pass and the
+dynamics treat every row on its own and accumulate in a fixed order, so
+rollout i has the same bits at any block size. `evaluate` and
+`rollout_once` both run on this one engine.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import _accel
 from .core import (
     ConstantPolicy,
     EvalRecord,
     NumericFailure,
     Policy,
     PolicyParams,
+    ShapeError,
     Trajectory,
+    dense_forward,
+    dense_layers,
     derive_stream,
-    policy_action,
 )
-from .envs import EnvConfig, descriptor, descriptor_dim
-from .noise import NoiseConfig, observe, wrap_params, wrap_reset, wrap_step
+from .envs import (
+    ACTION_HIGH,
+    ACTION_LOW,
+    EnvConfig,
+    _check_action,
+    descriptor,
+    descriptor_dim,
+    env_reset,
+    reward,
+    transition,
+)
+from .noise import NoiseConfig, episode_draw_shape, n_init_dims
 
 INIT_TAG = "init"
 NOISE_TAG = "noise"
 ENV_TAG = "env"
+
+# Rollouts stepped together by `evaluate`. Bounds the engine's temporaries
+# for any n_evals; results do not depend on it.
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -50,269 +67,119 @@ class EvalConfig:
             raise ValueError(f"n_evals must be >= 1, got {self.n_evals}")
 
 
-def _rollout_gens(noise_cfg: NoiseConfig, env_cfg: EnvConfig, master_seed: int, index: int):
-    init_gen = (
-        derive_stream(master_seed, INIT_TAG, index).generator()
-        if noise_cfg.kind == "init-state"
-        else None
-    )
-    noise_gen = (
-        derive_stream(master_seed, NOISE_TAG, index).generator()
-        if noise_cfg.kind != "none"
-        else None
-    )
-    env_gen = (
-        derive_stream(master_seed, ENV_TAG, index).generator()
-        if env_cfg.family == "bandit"
-        else None
-    )
-    return init_gen, noise_gen, env_gen
-
-
-def _fast_path_ok(policy: Policy, env_cfg: EnvConfig, noise_cfg: NoiseConfig) -> bool:
-    if env_cfg.family != "point-mass":
-        return False
-    if not isinstance(policy, PolicyParams):
-        return False
-    if policy.arch[0] != 4 or policy.arch[-1] != 2:
-        return False
-    if noise_cfg.kind == "param" and noise_cfg.resample == "per-step":
-        return False
-    return True
-
-
-def _rollout_generic(policy, env_cfg, noise_cfg, init_gen, noise_gen, env_gen):
-    n_steps = env_cfg.episode_length
-    states = np.empty((n_steps, env_cfg.state_dim))
-    observations = np.empty((n_steps, env_cfg.state_dim))
-    actions = np.empty((n_steps, env_cfg.action_dim))
-    rewards = np.empty(n_steps)
-
-    state = wrap_reset(env_cfg, noise_cfg, init_gen)
-    episode_policy = policy
-    if noise_cfg.kind == "param" and noise_cfg.resample == "per-episode":
-        episode_policy = wrap_params(policy, noise_cfg, noise_gen)
-    obs = observe(noise_cfg, state.vec, noise_gen)
-
-    for t in range(n_steps):
-        states[t] = state.vec
-        observations[t] = obs
-        if noise_cfg.kind == "param" and noise_cfg.resample == "per-step":
-            step_policy = wrap_params(policy, noise_cfg, noise_gen)
-        else:
-            step_policy = episode_policy
-        action = policy_action(step_policy, obs)
-        state, r, done, obs, exec_action = wrap_step(
-            env_cfg, noise_cfg, state, action, env_gen, noise_gen, obs
-        )
-        actions[t] = exec_action
-        rewards[t] = r
-        if not (np.all(np.isfinite(state.vec)) and np.isfinite(r)):
-            raise NumericFailure(f"non-finite value at step {t}", step=t)
-
-    return Trajectory(
-        states=states,
-        observations=observations,
-        actions=actions,
-        rewards=rewards,
-        episode_return=float(np.sum(rewards)),
-        final_state=state.vec.copy(),
-    )
-
-
-def _rollout_point_mass_fast(policy, env_cfg, noise_cfg, init_gen, noise_gen, env_gen):
-    n_steps = env_cfg.episode_length
-    kind = _accel.KIND_CODES.get(noise_cfg.kind, 0)
-    sigma = noise_cfg.sigma
-
-    theta = policy.theta
-    if noise_cfg.kind == "param":
-        theta = theta + sigma * noise_gen.standard_normal(theta.shape[0])
-
-    s0 = wrap_reset(env_cfg, noise_cfg, init_gen).vec
-
-    dummy2 = np.zeros((1, 1))
-    dummy1 = np.zeros(1)
-    eps_action = (
-        noise_gen.standard_normal((n_steps, 2)) if noise_cfg.kind == "action" else dummy2
-    )
-    eps_obs = (
-        noise_gen.standard_normal((n_steps + 1, 4)) if noise_cfg.kind == "obs" else dummy2
-    )
-    eps_dyn = (
-        noise_gen.standard_normal((n_steps, 4)) if noise_cfg.kind == "dynamics" else dummy2
-    )
-    eps_reward = (
-        noise_gen.standard_normal(n_steps) if noise_cfg.kind == "reward" else dummy1
-    )
-
-    states = np.empty((n_steps, 4))
-    observations = np.empty((n_steps, 4))
-    actions = np.empty((n_steps, 2))
-    rewards = np.empty(n_steps)
-    final_state = np.empty(4)
-
-    status = _accel.point_mass_episode(
-        np.ascontiguousarray(theta),
-        np.asarray(policy.arch, dtype=np.int64),
-        1 if policy.activation == "relu" else 0,
-        s0,
-        env_cfg.goal[0],
-        env_cfg.goal[1],
-        env_cfg.dt,
-        env_cfg.v_max,
-        n_steps,
-        kind,
-        sigma,
-        1 if noise_cfg.obs_affects_reward else 0,
-        eps_action,
-        eps_obs,
-        eps_dyn,
-        eps_reward,
-        states,
-        observations,
-        actions,
-        rewards,
-        final_state,
-    )
-    if status >= 0:
-        raise NumericFailure(f"non-finite value at step {status}", step=int(status))
-
-    return Trajectory(
-        states=states,
-        observations=observations,
-        actions=actions,
-        rewards=rewards,
-        episode_return=float(np.sum(rewards)),
-        final_state=final_state,
-    )
-
-
-class _BanditFastEval:
-    """Per-record precomputation for single-step bandit evaluations.
-
-    Reproduces the generic path draw for draw on every recorded quantity.
-    Draws that cannot reach any recorded output (the post-step observation
-    noise and the dynamics perturbation of the terminal state) are skipped;
-    they sit after everything recorded within their own stream, so skipping
-    them cannot shift a recorded value.
-    """
-
-    def __init__(self, policy: Policy, env_cfg: EnvConfig, noise_cfg: NoiseConfig):
-        self.env_cfg = env_cfg
-        self.noise_cfg = noise_cfg
-        self.policy = policy
-        self.ds = env_cfg.state_dim
-        self.da = env_cfg.action_dim
-        self.s0 = np.zeros(self.ds)
-        if isinstance(policy, PolicyParams):
-            self.weights = []
-            self.biases = []
-            offset = 0
-            for n_in, n_out in zip(policy.arch[:-1], policy.arch[1:]):
-                self.weights.append(
-                    policy.theta[offset : offset + n_in * n_out].reshape(n_in, n_out)
-                )
-                offset += n_in * n_out
-                self.biases.append(policy.theta[offset : offset + n_out])
-                offset += n_out
-            self.relu = policy.activation == "relu"
-        else:
-            from .envs import _check_action
-
-            _check_action(env_cfg, policy.action)
-        kind = noise_cfg.kind
-        self.base_action = (
-            self._forward(self.s0)
-            if kind not in ("param", "obs", "init-state")
-            else None
+def _check_policy(policy: Policy, env_cfg: EnvConfig, noise_cfg: NoiseConfig) -> None:
+    if isinstance(policy, ConstantPolicy):
+        if noise_cfg.kind == "param":
+            raise ValueError("parameter noise requires a PolicyParams policy")
+        _check_action(env_cfg, policy.action)
+    elif policy.arch[0] != env_cfg.state_dim or policy.arch[-1] != env_cfg.action_dim:
+        raise ShapeError(
+            f"policy arch {policy.arch} does not fit env {env_cfg.env_id!r}: it needs "
+            f"{env_cfg.state_dim} inputs and {env_cfg.action_dim} outputs"
         )
 
-    def _forward(self, obs: np.ndarray) -> np.ndarray:
-        if isinstance(self.policy, ConstantPolicy):
-            return self.policy.action
-        x = obs
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = x @ w + b
-            if i == last:
-                x = np.tanh(z)
-            elif self.relu:
-                x = np.maximum(z, 0.0)
+
+def _draw(master_seed: int, tag: str, rows: range, size: tuple, draw) -> np.ndarray:
+    """One row per rollout i: draw(generator, size) on substream (master_seed, tag, i)."""
+    out = np.empty((len(rows), *size))
+    for r, i in enumerate(rows):
+        out[r] = draw(derive_stream(master_seed, tag, i).generator(), size)
+    return out
+
+
+def _run_block(
+    policy: Policy,
+    env_cfg: EnvConfig,
+    noise_cfg: NoiseConfig,
+    master_seed: int,
+    rows: range,
+) -> Trajectory:
+    """Step the rollouts `rows` together; returns their trajectories as a block."""
+    n, n_steps = len(rows), env_cfg.episode_length
+    kind, sigma = noise_cfg.kind, noise_cfg.sigma
+    n_params = policy.theta.shape[0] if isinstance(policy, PolicyParams) else 0
+
+    normal = np.random.Generator.standard_normal
+    state = np.empty((n, env_cfg.state_dim))
+    state[:] = env_reset(env_cfg).vec
+    if kind == "init-state":
+        k = n_init_dims(env_cfg)
+        state[:, :k] += sigma * _draw(master_seed, INIT_TAG, rows, (k,), normal)
+    shape = episode_draw_shape(noise_cfg, env_cfg, n_params)
+    eps = _draw(master_seed, NOISE_TAG, rows, shape, normal) if shape is not None else None
+    step_gens = None
+    if kind == "param" and noise_cfg.resample == "per-step":
+        step_gens = [derive_stream(master_seed, NOISE_TAG, i).generator() for i in rows]
+        eps_t = np.empty((n, n_params))
+    u = np.zeros((n, n_steps))
+    if env_cfg.family == "bandit":
+        u = _draw(
+            master_seed, ENV_TAG, rows, (n_steps,), lambda g, size: g.uniform(-1.0, 1.0, size)
+        )
+
+    layers = None
+    if isinstance(policy, PolicyParams):
+        theta = policy.theta
+        if kind == "param" and eps is not None:
+            theta = theta + sigma * eps
+        layers = dense_layers(theta, policy.arch)
+    obs = state + sigma * eps[:, 0] if kind == "obs" else state
+
+    states = np.empty((n, n_steps, env_cfg.state_dim))
+    observations = np.empty_like(states)
+    actions = np.empty((n, n_steps, env_cfg.action_dim))
+    rewards = np.empty((n, n_steps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(n_steps):
+            states[:, t] = state
+            observations[:, t] = obs
+            if step_gens is not None:
+                for g, row in zip(step_gens, eps_t):
+                    g.standard_normal(out=row)
+                layers = dense_layers(policy.theta + sigma * eps_t, policy.arch)
+            if layers is None:
+                action = policy.action
             else:
-                x = np.tanh(z)
-        return x
+                action = dense_forward(layers, policy.activation, obs)
+            if kind == "action":
+                action = np.clip(action + sigma * eps[:, t], ACTION_LOW, ACTION_HIGH)
+            actions[:, t] = action
 
-    def run(self, master_seed: int, index: int):
-        """One rollout; returns (return, executed_action, initial_state)."""
-        cfg = self.env_cfg
-        noise = self.noise_cfg
-        kind = noise.kind
-        sigma = noise.sigma
+            nxt = transition(env_cfg, state, action)
+            if kind == "dynamics":
+                nxt = nxt + sigma * eps[:, t]
+            next_obs = nxt + sigma * eps[:, t + 1] if kind == "obs" else nxt
+            if kind == "obs" and noise_cfg.obs_affects_reward:
+                r = reward(env_cfg, obs, action, next_obs, u[:, t])
+            else:
+                r = reward(env_cfg, state, action, nxt, u[:, t])
+            if kind == "reward":
+                r = r + sigma * eps[:, t]
+            rewards[:, t] = r
+            state, obs = nxt, next_obs
 
-        s0 = self.s0
-        if kind == "init-state":
-            init_gen = derive_stream(master_seed, INIT_TAG, index).generator()
-            s0 = s0 + sigma * init_gen.standard_normal(self.ds)
-        noise_gen = (
-            derive_stream(master_seed, NOISE_TAG, index).generator()
-            if kind != "none"
-            else None
+    # One scan for the first non-finite step of each rollout: step t fails
+    # when its reward or the state it leads to is not finite.
+    finite = np.isfinite(rewards)
+    finite[:, :-1] &= np.isfinite(states[:, 1:]).all(axis=-1)
+    finite[:, -1] &= np.isfinite(state).all(axis=-1)
+    if not finite.all():
+        row, step = np.argwhere(~finite)[0]
+        index = rows[row]
+        raise NumericFailure(
+            f"rollout {index} hit a non-finite value at step {step}",
+            step=int(step),
+            rollout_index=index,
         )
 
-        if kind == "param":
-            theta = self.policy.theta + sigma * noise_gen.standard_normal(
-                self.policy.theta.shape[0]
-            )
-            action = _forward_theta(theta, self.policy.arch, self.relu, s0)
-        elif kind == "obs":
-            obs = s0 + sigma * noise_gen.standard_normal(self.ds)
-            action = self._forward(obs)
-        elif kind == "init-state":
-            action = self._forward(s0)
-        else:
-            action = self.base_action
-
-        if kind == "action":
-            eps = noise_gen.standard_normal(self.da)
-            action = np.clip(action + sigma * eps, -1.0, 1.0)
-
-        env_gen = derive_stream(master_seed, ENV_TAG, index).generator()
-        u = float(env_gen.uniform(-1.0, 1.0))
-        a = float(action[0])
-        r = cfg.mean_base + cfg.mean_slope * a + cfg.spread_max * a * u
-        if kind == "reward":
-            r += sigma * float(noise_gen.standard_normal())
-        if not np.isfinite(r):
-            raise NumericFailure("non-finite value at step 0", step=0)
-        return float(r), np.asarray(action, dtype=np.float64), s0
-
-
-def _forward_theta(theta, arch, relu, obs):
-    x = obs
-    offset = 0
-    last = len(arch) - 2
-    for i, (n_in, n_out) in enumerate(zip(arch[:-1], arch[1:])):
-        w = theta[offset : offset + n_in * n_out].reshape(n_in, n_out)
-        offset += n_in * n_out
-        b = theta[offset : offset + n_out]
-        offset += n_out
-        z = x @ w + b
-        if i == last:
-            x = np.tanh(z)
-        elif relu:
-            x = np.maximum(z, 0.0)
-        else:
-            x = np.tanh(z)
-    return x
-
-
-def _bandit_fast_ok(policy: Policy, env_cfg: EnvConfig, noise_cfg: NoiseConfig) -> bool:
-    if env_cfg.family != "bandit" or env_cfg.episode_length != 1:
-        return False
-    if noise_cfg.kind == "param" and not isinstance(policy, PolicyParams):
-        return False
-    return isinstance(policy, (PolicyParams, ConstantPolicy))
+    return Trajectory(
+        states=states,
+        observations=observations,
+        actions=actions,
+        rewards=rewards,
+        episode_return=rewards.sum(axis=1),
+        final_state=state,
+    )
 
 
 def rollout_once(
@@ -325,14 +192,11 @@ def rollout_once(
     """Run rollout `index` of the evaluation identified by `master_seed`.
 
     The same (policy, env_cfg, noise_cfg, master_seed, index) always yields
-    the same trajectory.
+    the same trajectory, bit for bit the one `evaluate` records for it.
     """
-    init_gen, noise_gen, env_gen = _rollout_gens(noise_cfg, env_cfg, master_seed, index)
-    if _fast_path_ok(policy, env_cfg, noise_cfg):
-        return _rollout_point_mass_fast(
-            policy, env_cfg, noise_cfg, init_gen, noise_gen, env_gen
-        )
-    return _rollout_generic(policy, env_cfg, noise_cfg, init_gen, noise_gen, env_gen)
+    _check_policy(policy, env_cfg, noise_cfg)
+    block = _run_block(policy, env_cfg, noise_cfg, master_seed, range(index, index + 1))
+    return Trajectory(**{f.name: getattr(block, f.name)[0] for f in fields(block)})
 
 
 def evaluate(
@@ -345,10 +209,10 @@ def evaluate(
 ) -> EvalRecord:
     """Run n_evals rollouts and assemble the evaluation record.
 
-    `jobs` only controls the worker thread count; results are identical for
-    any value because every rollout draws from its own substreams and writes
-    its own row.
+    Rollouts run in blocks of BLOCK_ROWS on the calling thread. `jobs` is
+    accepted for compatibility and changes neither results nor speed.
     """
+    _check_policy(policy, env_cfg, noise_cfg)
     n = eval_cfg.n_evals
     returns = np.empty(n)
     descs = np.empty((n, descriptor_dim(env_cfg)))
@@ -357,39 +221,13 @@ def evaluate(
         if eval_cfg.record_state_marginal
         else None
     )
-
-    fast_bandit = (
-        _BanditFastEval(policy, env_cfg, noise_cfg)
-        if _bandit_fast_ok(policy, env_cfg, noise_cfg)
-        else None
-    )
-
-    def run(i: int) -> None:
-        try:
-            if fast_bandit is not None:
-                r, action, s0 = fast_bandit.run(eval_cfg.master_seed, i)
-                returns[i] = r
-                descs[i] = action
-                if marginals is not None:
-                    marginals[i] = s0
-                return
-            traj = rollout_once(policy, env_cfg, noise_cfg, eval_cfg.master_seed, i)
-        except NumericFailure as e:
-            e.rollout_index = i
-            raise
-        returns[i] = traj.episode_return
-        descs[i] = descriptor(env_cfg, traj)
+    for start in range(0, n, BLOCK_ROWS):
+        rows = range(start, min(start + BLOCK_ROWS, n))
+        block = _run_block(policy, env_cfg, noise_cfg, eval_cfg.master_seed, rows)
+        returns[start : rows.stop] = block.episode_return
+        descs[start : rows.stop] = descriptor(env_cfg, block)
         if marginals is not None:
-            marginals[i] = traj.state_marginal()
-
-    if jobs <= 1:
-        for i in range(n):
-            run(i)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run, i) for i in range(n)]
-            for f in futures:
-                f.result()
+            marginals[start : rows.stop] = block.state_marginal()
 
     return EvalRecord(
         policy_id=policy_id,

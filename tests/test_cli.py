@@ -172,6 +172,42 @@ def test_evaluate_records_marginals_when_configured(tmp_path, capsys):
     assert len(art["state_marginals"][0]) == 1
 
 
+def test_evaluate_numeric_failure_exits_1_naming_rollout_and_step(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", seeds=[0], env={"name": "point-mass-nav"},
+                       noise={"kind": "dynamics", "sigma": 1e308})
+    pol = tmp_path / "pol.json"
+    pol.write_text(json.dumps({"action": [0.5, -0.5]}))
+    rc = main(["evaluate", "--config", cfg, "--policy", str(pol),
+               "--out", str(tmp_path / "eval.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1
+    assert err.startswith("error: rollout 0 ")
+    assert "step 0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "eval.json").exists()
+
+
+@pytest.mark.parametrize(
+    "env,policy",
+    [
+        ("point-mass-nav", {"arch": [3, 8, 2], "theta": [0.0] * (3 * 8 + 8 + 8 * 2 + 2)}),
+        ("point-mass-nav", {"arch": [4, 8, 3], "theta": [0.0] * (4 * 8 + 8 + 8 * 3 + 3)}),
+        ("point-mass-nav", {"action": [0.0, 1.5]}),
+    ],
+    ids=["inputs", "outputs", "out-of-box"],
+)
+def test_evaluate_policy_that_does_not_fit_env_exits_2(tmp_path, capsys, env, policy):
+    cfg = write_config(tmp_path / "cfg.json", seeds=[0], env={"name": env})
+    pol = tmp_path / "pol.json"
+    pol.write_text(json.dumps(policy))
+    assert main(["evaluate", "--config", cfg, "--policy", str(pol),
+                 "--out", str(tmp_path / "eval.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def _make_eval_artifact(path, policy_id, returns, seed=0, algo="scripted"):
     art = {
         "schema": "repro-rl-eval",

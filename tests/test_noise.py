@@ -1,17 +1,10 @@
 import numpy as np
 import pytest
 
+from reference_rollout import observe, wrap_params, wrap_reset
 from repro_rl.core import ConstantPolicy, PolicyParams, derive_stream, param_count
 from repro_rl.envs import flat_mean_spread, point_mass_nav, transition
-from repro_rl.noise import (
-    KINDS,
-    NoiseConfig,
-    default_sigma,
-    n_init_dims,
-    observe,
-    wrap_params,
-    wrap_reset,
-)
+from repro_rl.noise import KINDS, NoiseConfig, default_sigma, n_init_dims
 from repro_rl.rollout import rollout_once
 
 
@@ -174,7 +167,7 @@ def test_obs_noise_true_states_follow_dynamics():
     traj = rollout_once(pol, env, NoiseConfig(kind="obs", sigma=0.05), 4, 2)
     # true states evolve by the clean transition under the executed actions
     for t in range(env.episode_length - 1):
-        nxt, _ = transition(env, traj.states[t], traj.actions[t], None)
+        nxt = transition(env, traj.states[t], traj.actions[t])
         assert np.allclose(traj.states[t + 1], nxt, atol=1e-9)
 
 
@@ -186,7 +179,7 @@ def test_dynamics_noise_replay():
     gen = derive_stream(6, "noise", 3).generator()
     eps = gen.standard_normal((env.episode_length, 4))
     for t in range(env.episode_length - 1):
-        nxt, _ = transition(env, traj.states[t], traj.actions[t], None)
+        nxt = transition(env, traj.states[t], traj.actions[t])
         assert np.allclose(traj.states[t + 1], nxt + 0.01 * eps[t], atol=1e-9)
 
 

@@ -1,20 +1,13 @@
-import subprocess
-import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from repro_rl import _accel
+from reference_rollout import reference_rollout
 from repro_rl.core import ConstantPolicy, NumericFailure, PolicyParams, param_count
 from repro_rl.envs import flat_mean_spread, point_mass_nav, tradeoff_spread
 from repro_rl.noise import NoiseConfig
-from repro_rl.rollout import (
-    EvalConfig,
-    _rollout_generic,
-    _rollout_gens,
-    evaluate,
-    rollout_once,
-)
+from repro_rl.rollout import EvalConfig, evaluate, rollout_once
 
 ALL_KINDS = ["none", "action", "obs", "reward", "param", "init-state", "dynamics"]
 
@@ -48,21 +41,22 @@ def test_noiseless_point_mass_rollouts_identical_across_indices():
     assert np.all(rec.descriptors == rec.descriptors[0])
 
 
+TRAJ_FIELDS = ("states", "observations", "actions", "rewards", "final_state")
+
+
 def test_fast_and_generic_paths_agree_on_point_mass():
     env = point_mass_nav()
     pol = random_policy(3)
     for kind in ALL_KINDS:
         nc = NoiseConfig(kind=kind)
         fast = rollout_once(pol, env, nc, 5, 2)
-        slow = _rollout_generic(pol, env, nc, *_rollout_gens(nc, env, 5, 2))
-        assert np.allclose(fast.rewards, slow.rewards, atol=1e-8), kind
-        assert np.allclose(fast.states, slow.states, atol=1e-8), kind
-        assert np.allclose(fast.observations, slow.observations, atol=1e-8), kind
-        assert np.allclose(fast.actions, slow.actions, atol=1e-8), kind
-        assert fast.episode_return == pytest.approx(slow.episode_return, abs=1e-7)
+        slow = reference_rollout(pol, env, nc, 5, 2)
+        for field in TRAJ_FIELDS:
+            assert np.array_equal(getattr(fast, field), getattr(slow, field)), (kind, field)
+        assert fast.episode_return == slow.episode_return, kind
 
 
-def test_bandit_fast_eval_matches_generic_exactly():
+def test_bandit_engine_matches_oracle_exactly():
     env = tradeoff_spread()
     for pol in [random_policy(4, arch=(1, 8, 1)), ConstantPolicy(np.array([0.7]))]:
         for kind in ALL_KINDS:
@@ -73,77 +67,62 @@ def test_bandit_fast_eval_matches_generic_exactly():
                 pol, env, nc, EvalConfig(n_evals=32, master_seed=11, record_state_marginal=True)
             )
             for i in range(32):
-                traj = _rollout_generic(pol, env, nc, *_rollout_gens(nc, env, 11, i))
+                traj = reference_rollout(pol, env, nc, 11, i)
                 assert rec.returns[i] == traj.episode_return, kind
                 assert np.array_equal(rec.descriptors[i], traj.actions[0]), kind
                 assert np.array_equal(rec.state_marginals[i], traj.state_marginal()), kind
 
 
-def test_numba_and_numpy_kernels_agree():
-    if not _accel.using_numba:
-        pytest.skip("numba path not active")
-    env = point_mass_nav()
-    pol = random_policy(5)
-    for kind_name, code in [("none", 0), ("action", 1), ("obs", 2), ("reward", 3), ("dynamics", 4)]:
-        gen = np.random.default_rng(100 + code)
-        n_steps = env.episode_length
-        args = dict(
-            theta=np.ascontiguousarray(pol.theta),
-            arch=np.asarray(pol.arch, dtype=np.int64),
-            relu=0,
-            s0=np.zeros(4),
-            goal_x=1.0,
-            goal_y=1.0,
-            dt=0.1,
-            v_max=1.0,
-            n_steps=n_steps,
-            kind=code,
-            sigma=0.1,
-            obs_affects_reward=1,
-            eps_action=gen.standard_normal((n_steps, 2)),
-            eps_obs=gen.standard_normal((n_steps + 1, 4)),
-            eps_dyn=gen.standard_normal((n_steps, 4)),
-            eps_reward=gen.standard_normal(n_steps),
-        )
-        outs = {}
-        for name, fn in [("numba", _accel.point_mass_episode_numba),
-                         ("numpy", _accel.point_mass_episode_numpy)]:
-            states = np.empty((n_steps, 4))
-            observations = np.empty((n_steps, 4))
-            actions = np.empty((n_steps, 2))
-            rewards = np.empty(n_steps)
-            final_state = np.empty(4)
-            status = fn(
-                args["theta"], args["arch"], args["relu"], args["s0"],
-                args["goal_x"], args["goal_y"], args["dt"], args["v_max"],
-                args["n_steps"], args["kind"], args["sigma"],
-                args["obs_affects_reward"], args["eps_action"], args["eps_obs"],
-                args["eps_dyn"], args["eps_reward"],
-                states, observations, actions, rewards, final_state,
-            )
-            assert status == -1
-            outs[name] = (states, observations, actions, rewards, final_state)
-        for a, b in zip(outs["numba"], outs["numpy"]):
-            assert np.allclose(a, b, atol=1e-8), kind_name
+NOISE_CASES = [NoiseConfig(kind=k) for k in ALL_KINDS] + [
+    NoiseConfig(kind="param", resample="per-step")
+]
+ENV_CASES = [(point_mass_nav, (4, 16, 16, 2)), (tradeoff_spread, (1, 8, 1))]
 
 
-def test_numpy_fallback_selected_by_env_flag():
-    code = (
-        "import os; os.environ['REPRO_RL_NO_NUMBA']='1';\n"
-        "from repro_rl import _accel\n"
-        "assert not _accel.using_numba\n"
-        "assert _accel.point_mass_episode is _accel.point_mass_episode_numpy\n"
-        "import numpy as np, repro_rl as rr\n"
-        "from repro_rl.rollout import EvalConfig, evaluate\n"
-        "pol = rr.PolicyParams(np.zeros(rr.param_count((4,16,16,2))), (4,16,16,2))\n"
-        "rec = evaluate(pol, rr.point_mass_nav(), rr.NoiseConfig(),\n"
-        "               EvalConfig(n_evals=2, master_seed=0))\n"
-        "assert abs(rec.returns[0] + 100*np.sqrt(2)) < 1e-9\n"
-        "print('ok')\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert "ok" in out.stdout
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("make_env,arch", ENV_CASES, ids=["point-mass", "bandit"])
+@pytest.mark.parametrize(
+    "noise", NOISE_CASES, ids=[f"{n.kind}-{n.resample}" for n in NOISE_CASES]
+)
+def test_rollout_rows_bit_identical_across_batch_size_and_jobs(noise, make_env, arch, activation):
+    # N=300 crosses the engine's 256-row block boundary.
+    env = make_env()
+    gen = np.random.default_rng(21)
+    pol = PolicyParams(0.5 * gen.standard_normal(param_count(arch)), arch, activation)
+    big = evaluate(pol, env, noise, EvalConfig(1024, 13, record_state_marginal=True))
+    for n in [1, 7, 256, 300, 1024]:
+        for jobs in [1, 8] if n < 1024 else [8]:
+            rec = evaluate(pol, env, noise, EvalConfig(n, 13, record_state_marginal=True), jobs=jobs)
+            assert np.array_equal(rec.returns, big.returns[:n]), (n, jobs)
+            assert np.array_equal(rec.descriptors, big.descriptors[:n]), (n, jobs)
+            assert np.array_equal(rec.state_marginals, big.state_marginals[:n]), (n, jobs)
+    for i in [0, 6, 299]:
+        ref = reference_rollout(pol, env, noise, 13, i)
+        assert big.returns[i] == ref.episode_return, i
+        assert np.array_equal(big.state_marginals[i], ref.state_marginal()), i
+        one = rollout_once(pol, env, noise, 13, i)
+        for field in TRAJ_FIELDS:
+            assert np.array_equal(getattr(one, field), getattr(ref, field)), (i, field)
+
+
+@pytest.mark.parametrize(
+    "make_env,policy",
+    [
+        (point_mass_nav, PolicyParams(np.zeros(param_count((3, 8, 2))), (3, 8, 2))),
+        (point_mass_nav, PolicyParams(np.zeros(param_count((4, 8, 3))), (4, 8, 3))),
+        (point_mass_nav, ConstantPolicy(np.array([1.5, 0.0]))),
+        (tradeoff_spread, PolicyParams(np.zeros(param_count((2, 8, 1))), (2, 8, 1))),
+        (tradeoff_spread, PolicyParams(np.zeros(param_count((1, 8, 2))), (1, 8, 2))),
+        (tradeoff_spread, ConstantPolicy(np.array([-1.2]))),
+    ],
+    ids=["pm-inputs", "pm-outputs", "pm-out-of-box", "bandit-inputs", "bandit-outputs",
+         "bandit-out-of-box"],
+)
+def test_evaluate_rejects_policies_that_do_not_fit_the_env(make_env, policy):
+    with pytest.raises(ValueError):
+        evaluate(policy, make_env(), NoiseConfig(), EvalConfig(n_evals=4))
+    with pytest.raises(ValueError):
+        rollout_once(policy, make_env(), NoiseConfig(), 0)
 
 
 def test_jobs_do_not_change_results():
@@ -195,10 +174,26 @@ def test_numeric_failure_carries_indices():
     env = point_mass_nav()
     pol = random_policy(8)
     nc = NoiseConfig(kind="dynamics", sigma=1e308)
-    with pytest.raises(NumericFailure) as exc:
-        evaluate(pol, env, nc, EvalConfig(n_evals=4, master_seed=0))
+    # NumericFailure is the only signal: no overflow RuntimeWarning escapes.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericFailure) as exc:
+            evaluate(pol, env, nc, EvalConfig(n_evals=4, master_seed=0))
     assert exc.value.step >= 0
     assert exc.value.rollout_index >= 0
+    # the first failing rollout and step are the ones a rollout-by-rollout
+    # reference loop hits first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(4):
+            try:
+                reference_rollout(pol, env, nc, 0, i)
+            except NumericFailure as ref:
+                assert (exc.value.rollout_index, exc.value.step) == (i, ref.step)
+                break
+        else:
+            pytest.fail("the reference loop found no failing rollout")
+    assert f"rollout {exc.value.rollout_index}" in str(exc.value)
+    assert f"step {exc.value.step}" in str(exc.value)
 
 
 def test_numeric_failure_in_bandit_reward():
@@ -206,8 +201,10 @@ def test_numeric_failure_in_bandit_reward():
     pol = ConstantPolicy(np.array([1.0]))
     # sigma*eps overflows once some |eps| > 1.797; 16 draws guarantee a hit here
     nc = NoiseConfig(kind="reward", sigma=1e308)
-    with pytest.raises(NumericFailure) as exc:
-        evaluate(pol, env, nc, EvalConfig(n_evals=16, master_seed=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericFailure) as exc:
+            evaluate(pol, env, nc, EvalConfig(n_evals=16, master_seed=0))
     assert exc.value.step == 0
     assert 0 <= exc.value.rollout_index < 16
 
