@@ -35,6 +35,7 @@ from .metrics import (
     behavioural_iqr,
     behavioural_mad,
     dispersion,
+    lcb_sweep,
     pareto_front,
     performance,
     state_marginal_repro,
@@ -50,18 +51,15 @@ EVAL_SCHEMA = "repro-rl-eval"
 
 ALGOS = ("es", "res", "random", "scripted")
 
-REPORT_METRICS = (
-    "mean",
-    "median",
-    "iqm",
-    "mad",
-    "iqr",
-    "std",
-    "lcb",
-    "bmad",
-    "biqr",
-    "smad",
-)
+# report metric -> (record, alphas, lcb_cfg) -> [(row label, value)]
+REPORT_METRICS = {
+    **{k: lambda r, al, c, k=k: [(k, performance(r.returns, k))] for k in PERF_ESTIMATORS},
+    **{k: lambda r, al, c, k=k: [(k, dispersion(r.returns, k))] for k in DISP_ESTIMATORS},
+    "lcb": lambda r, al, c: [(f"lcb[alpha={a:g}]", v) for a, v in zip(al, lcb_sweep(r, al, c))],
+    "bmad": lambda r, al, c: [("bmad", behavioural_mad(r.descriptors))],
+    "biqr": lambda r, al, c: [("biqr", behavioural_iqr(r.descriptors))],
+    "smad": lambda r, al, c: [("smad", state_marginal_repro(r))],
+}
 
 
 class ConfigError(Exception):
@@ -83,9 +81,6 @@ class ExperimentConfig:
     n_evals: int = 256
     record_state_marginal: bool = False
     seeds: tuple = (0,)
-    alphas: tuple = (0.0, 0.1, 0.4, 1.0, 2.0)
-    perf_estimator: str = "mean"
-    disp_estimator: str = "mad"
     constant_action: Optional[tuple] = None
 
     def __post_init__(self):
@@ -93,22 +88,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algo {self.algo!r}, valid: {', '.join(ALGOS)}")
         if len(self.seeds) < 1:
             raise ConfigError("seeds must be non-empty")
-        if len(self.alphas) < 1 or any(a < 0 for a in self.alphas):
-            raise ConfigError("alphas must be non-empty and non-negative")
-        if 0.0 not in self.alphas:
-            raise ConfigError("alphas must contain 0 (the pure-performance point)")
         if self.n_evals < 1:
             raise ConfigError(f"n_evals must be >= 1, got {self.n_evals}")
-        if self.perf_estimator not in PERF_ESTIMATORS:
-            raise ConfigError(
-                f"unknown perf estimator {self.perf_estimator!r}, "
-                f"valid: {', '.join(PERF_ESTIMATORS)}"
-            )
-        if self.disp_estimator not in DISP_ESTIMATORS:
-            raise ConfigError(
-                f"unknown disp estimator {self.disp_estimator!r}, "
-                f"valid: {', '.join(DISP_ESTIMATORS)}"
-            )
         if self.algo == "scripted" and self.constant_action is None:
             raise ConfigError("algo 'scripted' requires constant_action")
 
@@ -121,9 +102,6 @@ class ExperimentConfig:
             "n_evals": self.n_evals,
             "record_state_marginal": self.record_state_marginal,
             "seeds": list(self.seeds),
-            "alphas": list(self.alphas),
-            "perf_estimator": self.perf_estimator,
-            "disp_estimator": self.disp_estimator,
         }
         if self.constant_action is not None:
             d["constant_action"] = list(self.constant_action)
@@ -161,9 +139,6 @@ class ExperimentConfig:
                 n_evals=int(d.get("n_evals", 256)),
                 record_state_marginal=bool(d.get("record_state_marginal", False)),
                 seeds=tuple(int(s) for s in d.get("seeds", [0])),
-                alphas=tuple(float(a) for a in d.get("alphas", [0.0, 0.1, 0.4, 1.0, 2.0])),
-                perf_estimator=d.get("perf_estimator", "mean"),
-                disp_estimator=d.get("disp_estimator", "mad"),
                 constant_action=None if ca is None else tuple(float(x) for x in ca),
             )
         except ConfigError:
@@ -196,14 +171,27 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _dump_json(obj: dict, path: Optional[str]) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write_text(text: str, path: Optional[str]) -> None:
+    """Write to stdout, or atomically to `path`: a temp file in the target
+    directory is renamed over it, so readers never see a partial file."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w") as fh:
+        return
+    path = os.path.abspath(path)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
             fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _dump_json(obj: dict, path: Optional[str]) -> None:
+    _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
 
 
 def policy_to_json_dict(policy: Policy) -> dict:
@@ -260,7 +248,6 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.seeds is not None:
         cfg = dataclasses.replace(cfg, seeds=_parse_seeds(args.seeds))
-    os.makedirs(args.out, exist_ok=True)
     for seed in cfg.seeds:
         policy, gens_run, history = _train_one(cfg, seed)
         artifact = {
@@ -307,9 +294,6 @@ def cmd_evaluate(args) -> int:
         algo = cfg.algo
 
     single_file = len(cfg.seeds) == 1 and args.out.endswith(".json")
-    if not single_file:
-        os.makedirs(args.out, exist_ok=True)
-
     for seed in cfg.seeds:
         record = evaluate(
             policy,
@@ -362,12 +346,24 @@ def _load_eval_artifact(path: str) -> Tuple[EvalRecord, dict]:
         raise DataError(f"artifact not found: {path}") from e
     except json.JSONDecodeError as e:
         raise DataError(f"artifact {path} is not valid JSON: {e}") from e
-    if "returns" not in raw:
-        raise DataError(f"artifact {path} is not an evaluation artifact")
+    if not isinstance(raw, dict) or raw.get("schema") != EVAL_SCHEMA:
+        raise DataError(f"artifact {path} is not an evaluation artifact ({EVAL_SCHEMA})")
     try:
         record = EvalRecord.from_json_dict(raw)
     except (KeyError, ValueError, TypeError) as e:
         raise DataError(f"artifact {path} is malformed: {e}") from e
+    n = record.returns.shape[0] if record.returns.ndim == 1 else 0
+    if n < 1 or not np.all(np.isfinite(record.returns)):
+        raise DataError(f"artifact {path}: returns must be a non-empty list of finite numbers")
+    for name in ("descriptors", "state_marginals"):
+        rows = getattr(record, name)
+        if rows is not None and (
+            rows.ndim != 2 or rows.shape[0] != n or not np.all(np.isfinite(rows))
+        ):
+            raise DataError(
+                f"artifact {path}: {name} must be {n} rows of finite numbers, "
+                f"got shape {rows.shape}"
+            )
     return record, raw
 
 
@@ -375,39 +371,6 @@ def _noise_label(noise: NoiseConfig) -> str:
     if noise.kind == "none":
         return "none"
     return f"{noise.kind}:{noise.sigma:g}"
-
-
-def _metric_values(
-    metric: str,
-    record: EvalRecord,
-    path: str,
-    alphas: Tuple[float, ...],
-    lcb_cfg: LcbConfig,
-) -> List[Tuple[str, float]]:
-    """(label, value) pairs one artifact contributes under `metric`."""
-    r = record.returns
-    if metric in PERF_ESTIMATORS:
-        return [(metric, performance(r, metric))]
-    if metric in DISP_ESTIMATORS:
-        return [(metric, dispersion(r, metric))]
-    if metric == "lcb":
-        perf = performance(r, lcb_cfg.perf)
-        disp = dispersion(r, lcb_cfg.disp)
-        return [(f"lcb[alpha={a:g}]", perf - a * disp) for a in alphas]
-    if metric == "bmad":
-        return [(metric, behavioural_mad(record.descriptors))]
-    if metric == "biqr":
-        return [(metric, behavioural_iqr(record.descriptors))]
-    if metric == "smad":
-        if record.state_marginals is None:
-            raise DataError(
-                f"artifact {path} has no state marginals; re-run evaluate with "
-                "record_state_marginal true"
-            )
-        return [(metric, state_marginal_repro(record))]
-    raise ConfigError(
-        f"unknown metric {metric!r}, valid: {', '.join(REPORT_METRICS)}"
-    )
 
 
 def _write_rows(rows: List[dict], header: List[str], fmt: str, out: Optional[str]) -> None:
@@ -420,12 +383,7 @@ def _write_rows(rows: List[dict], header: List[str], fmt: str, out: Optional[str
         for row in rows:
             writer.writerow(row)
         text = buf.getvalue()
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
-        with open(out, "w") as fh:
-            fh.write(text)
+    _write_text(text, out)
 
 
 def cmd_report(args) -> int:
@@ -442,7 +400,12 @@ def cmd_report(args) -> int:
     for path in files:
         record, raw = _load_eval_artifact(path)
         algo = raw.get("algo", "unknown")
-        for label, value in _metric_values(args.metric, record, path, alphas, lcb_cfg):
+        if args.metric == "smad" and record.state_marginals is None:
+            raise DataError(
+                f"artifact {path} has no state marginals; re-run evaluate with "
+                "record_state_marginal true"
+            )
+        for label, value in REPORT_METRICS[args.metric](record, alphas, lcb_cfg):
             key = (record.env_id, algo, _noise_label(record.noise), label)
             cells.setdefault(key, []).append((record.master_seed, value))
 
@@ -482,7 +445,7 @@ def cmd_pareto(args) -> int:
         points.append(
             ParetoPoint(
                 policy_id=record.policy_id,
-                perf=float(np.mean(record.returns)),
+                perf=performance(record.returns, "mean"),
                 repro=-dispersion(record.returns, "mad"),
             )
         )

@@ -17,10 +17,10 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from .core import EvalRecord
-from .stats import iqm, iqr, mad
+from .stats import DISPERSION, PERFORMANCE, _lookup, dispersion, iqr, mad, performance
 
-PERF_ESTIMATORS = ("mean", "median", "iqm")
-DISP_ESTIMATORS = ("mad", "iqr", "std")
+PERF_ESTIMATORS = tuple(PERFORMANCE)
+DISP_ESTIMATORS = tuple(DISPERSION)
 
 
 @dataclass(frozen=True)
@@ -31,56 +31,34 @@ class LcbConfig:
     disp: str = "mad"
 
     def __post_init__(self):
-        if self.perf not in PERF_ESTIMATORS:
-            raise ValueError(
-                f"unknown perf estimator {self.perf!r}, valid: {PERF_ESTIMATORS}"
-            )
-        if self.disp not in DISP_ESTIMATORS:
-            raise ValueError(
-                f"unknown disp estimator {self.disp!r}, valid: {DISP_ESTIMATORS}"
-            )
+        _lookup(PERFORMANCE, "perf estimator", self.perf)
+        _lookup(DISPERSION, "disp estimator", self.disp)
 
 
-def performance(returns: np.ndarray, kind: str = "mean") -> float:
-    returns = np.asarray(returns, dtype=np.float64)
-    if kind == "mean":
-        return float(np.mean(returns))
-    if kind == "median":
-        return float(np.median(returns))
-    if kind == "iqm":
-        return iqm(returns)
-    raise ValueError(f"unknown perf estimator {kind!r}, valid: {PERF_ESTIMATORS}")
-
-
-def dispersion(returns: np.ndarray, kind: str = "mad") -> float:
-    returns = np.asarray(returns, dtype=np.float64)
-    if kind == "mad":
-        return mad(returns)
-    if kind == "iqr":
-        return iqr(returns)
-    if kind == "std":
-        if returns.shape[0] < 2:
-            raise ValueError("std dispersion needs at least 2 values")
-        return float(np.std(returns, ddof=1))
-    raise ValueError(f"unknown disp estimator {kind!r}, valid: {DISP_ESTIMATORS}")
+def _lcb_values(perf: float, disp: float, alphas: Sequence[float]) -> np.ndarray:
+    """perf - alpha * disp per alpha; alpha = 0 gives perf whatever disp is."""
+    values = []
+    for a in map(float, alphas):
+        if not np.isfinite(a) or a < 0.0:
+            raise ValueError(f"alpha must be finite and >= 0, got {a}")
+        values.append(perf if a == 0.0 else perf - a * disp)
+    return np.array(values)
 
 
 def lcb(record: EvalRecord, alpha: float, cfg: LcbConfig = LcbConfig()) -> float:
     """performance - alpha * dispersion of the record's returns."""
-    alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha < 0.0:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    perf = performance(record.returns, cfg.perf)
-    if alpha == 0.0:
-        return perf
-    return perf - alpha * dispersion(record.returns, cfg.disp)
+    return float(lcb_sweep(record, [alpha], cfg)[0])
 
 
 def lcb_sweep(
     record: EvalRecord, alphas: Sequence[float], cfg: LcbConfig = LcbConfig()
 ) -> np.ndarray:
-    """LCB at each alpha, aligned with the input grid."""
-    return np.array([lcb(record, a, cfg) for a in alphas])
+    """LCB at each alpha, aligned with the input grid. Performance and
+    dispersion are computed once; dispersion only when some alpha > 0."""
+    alphas = list(alphas)
+    perf = performance(record.returns, cfg.perf)
+    disp = dispersion(record.returns, cfg.disp) if any(alphas) else 0.0
+    return _lcb_values(perf, disp, alphas)
 
 
 @dataclass
@@ -101,12 +79,14 @@ def summarize(
     alphas: Sequence[float] = (0.0,),
     cfg: LcbConfig = LcbConfig(),
 ) -> ReproSummary:
-    values = lcb_sweep(record, alphas, cfg)
+    perf = performance(record.returns, cfg.perf)
+    disp = dispersion(record.returns, cfg.disp)
+    values = _lcb_values(perf, disp, alphas)
     return ReproSummary(
         policy_id=record.policy_id,
         n_evals=record.n_evals,
-        perf=performance(record.returns, cfg.perf),
-        disp=dispersion(record.returns, cfg.disp),
+        perf=perf,
+        disp=disp,
         lcb_by_alpha={float(a): float(v) for a, v in zip(alphas, values)},
         perf_estimator=cfg.perf,
         disp_estimator=cfg.disp,

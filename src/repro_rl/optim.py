@@ -10,12 +10,15 @@ Two fitness modes share one update rule:
 The gradient estimate uses centered ranks instead of raw fitness. Ranks
 are averaged over ties, which makes the update vanish exactly when fitness
 is mirror-symmetric (a tied pair contributes u * eps + u * (-eps) = 0).
+
+One generation function serves both front ends: `train` scores candidate
+policies by `fitness`, `optimize_function` by a black-box objective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -199,6 +202,32 @@ def fitness(
     return cfg.repro_weight * mean_r - (1.0 - cfg.repro_weight) * std_r
 
 
+def _generation(
+    theta: np.ndarray,
+    generation: int,
+    cfg: EsConfig,
+    stream: RngStream,
+    score: Callable[[np.ndarray], Sequence[float]],
+) -> Tuple[np.ndarray, dict]:
+    """One ES generation on a flat theta: sample, score, rank, update.
+
+    `score` maps the (popsize, dim) candidate thetas to one fitness each.
+    Returns the new theta and the generation's history row.
+    """
+    thetas, eps_half = sample_population(theta, cfg, stream.generator())
+    fits = np.asarray(score(thetas), dtype=np.float64)
+    if not np.all(np.isfinite(fits)):
+        raise ValueError(f"non-finite fitness at generation {generation}")
+    new_theta = _es_update(theta, eps_half, rank_normalize(fits), cfg)
+    row = {
+        "generation": generation,
+        "fitness_mean": float(np.mean(fits)),
+        "fitness_best": float(np.max(fits)),
+        "center_norm": float(np.linalg.norm(new_theta)),
+    }
+    return new_theta, row
+
+
 def es_step(
     state: EsState,
     cfg: EsConfig,
@@ -206,30 +235,24 @@ def es_step(
     noise_cfg: NoiseConfig,
     stream: RngStream,
 ) -> EsState:
-    """One generation: sample, score, rank, update. Returns the new state."""
-    gen_rng = stream.generator()
-    thetas, eps_half = sample_population(state.center.theta, cfg, gen_rng)
-    fits = np.empty(cfg.popsize)
-    for i in range(cfg.popsize):
-        cand = PolicyParams(
-            theta=thetas[i], arch=state.center.arch, activation=state.center.activation
-        )
-        fit_stream = derive_stream(
-            stream.master_seed, FIT_TAG, stream.index * cfg.popsize + i
-        )
-        fits[i] = fitness(cand, env_cfg, noise_cfg, cfg, fit_stream)
-    utilities = rank_normalize(fits)
-    new_theta = _es_update(state.center.theta, eps_half, utilities, cfg)
-    row = {
-        "generation": state.generation,
-        "fitness_mean": float(np.mean(fits)),
-        "fitness_best": float(np.max(fits)),
-        "center_norm": float(np.linalg.norm(new_theta)),
-    }
+    """One generation of policy search. Returns the new state."""
+    arch, activation = state.center.arch, state.center.activation
+
+    def score(thetas: np.ndarray) -> List[float]:
+        return [
+            fitness(
+                PolicyParams(theta=t, arch=arch, activation=activation),
+                env_cfg,
+                noise_cfg,
+                cfg,
+                derive_stream(stream.master_seed, FIT_TAG, stream.index * cfg.popsize + i),
+            )
+            for i, t in enumerate(thetas)
+        ]
+
+    theta, row = _generation(state.center.theta, state.generation, cfg, stream, score)
     return EsState(
-        center=PolicyParams(
-            theta=new_theta, arch=state.center.arch, activation=state.center.activation
-        ),
+        center=PolicyParams(theta=theta, arch=arch, activation=activation),
         generation=state.generation + 1,
         history=state.history + [row],
     )
@@ -257,7 +280,7 @@ def optimize_function(
     master_seed: int,
     theta0: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, List[dict]]:
-    """Run the same ES core on a black-box objective over R^dim.
+    """Run the same ES generation on a black-box objective over R^dim.
 
     Useful for sanity checks on analytic functions. Returns the final theta
     and the per-generation history.
@@ -270,19 +293,7 @@ def optimize_function(
             raise ValueError(f"theta0 must have shape ({dim},), got {theta.shape}")
     history: List[dict] = []
     for g in range(cfg.generations):
-        gen_rng = derive_stream(master_seed, GEN_TAG, g).generator()
-        thetas, eps_half = sample_population(theta, cfg, gen_rng)
-        fits = np.array([objective(t) for t in thetas])
-        if not np.all(np.isfinite(fits)):
-            raise ValueError(f"objective returned non-finite fitness at generation {g}")
-        utilities = rank_normalize(fits)
-        theta = _es_update(theta, eps_half, utilities, cfg)
-        history.append(
-            {
-                "generation": g,
-                "fitness_mean": float(np.mean(fits)),
-                "fitness_best": float(np.max(fits)),
-                "center_norm": float(np.linalg.norm(theta)),
-            }
-        )
+        stream = derive_stream(master_seed, GEN_TAG, g)
+        theta, row = _generation(theta, g, cfg, stream, lambda ts: [objective(t) for t in ts])
+        history.append(row)
     return theta, history

@@ -4,18 +4,20 @@ Dispersion is reported with outlier-resistant estimators (median absolute
 deviation, interquartile range) rather than the standard deviation, and
 aggregate scores use the interquartile mean with stratified bootstrap
 confidence intervals.
+
+`PERFORMANCE` and `DISPERSION` are the one definition of each estimator by
+name; `performance()`, `dispersion()`, the named helpers below and the
+bootstrap all look them up there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import Callable, Dict, List, Sequence, Union
 
 import numpy as np
 
 from .core import RngStream
-
-AGGREGATES = ("mean", "median", "iqm")
 
 
 def _clean_1d(name: str, x) -> np.ndarray:
@@ -29,16 +31,12 @@ def _clean_1d(name: str, x) -> np.ndarray:
     return arr
 
 
-def median(x) -> float:
-    """Sample median (midpoint of the two central order statistics)."""
-    return float(np.median(_clean_1d("x", x)))
-
-
-def mad(x) -> float:
-    """Median absolute deviation: median(|x - median(x)|), unscaled."""
-    arr = _clean_1d("x", x)
-    med = np.median(arr)
-    return float(np.median(np.abs(arr - med)))
+def _trimmed_mean(arr: np.ndarray) -> float:
+    # Drops the lowest and highest floor(n/4) values, so below 4 values it
+    # trims nothing and is the mean.
+    n = arr.shape[0]
+    trim = n // 4
+    return float(np.mean(np.sort(arr)[trim : n - trim]))
 
 
 @dataclass(frozen=True)
@@ -48,46 +46,85 @@ class Quartiles:
     q3: float
 
 
-def quartiles(x) -> Quartiles:
-    """First, second and third quartile with linear interpolation at
-    position (n - 1) * p."""
-    arr = _clean_1d("x", x)
+def _quartiles(arr: np.ndarray) -> Quartiles:
     q1, q2, q3 = np.quantile(arr, [0.25, 0.5, 0.75])
     return Quartiles(float(q1), float(q2), float(q3))
 
 
+def _iqr(arr: np.ndarray) -> float:
+    q = _quartiles(arr)
+    return q.q3 - q.q1
+
+
+# name -> estimator of a finite, non-empty 1-D float array.
+Estimator = Callable[[np.ndarray], float]
+PERFORMANCE: Dict[str, Estimator] = {
+    "mean": lambda arr: float(np.mean(arr)),
+    "median": lambda arr: float(np.median(arr)),
+    "iqm": _trimmed_mean,
+}
+DISPERSION: Dict[str, Estimator] = {
+    "mad": lambda arr: float(np.median(np.abs(arr - np.median(arr)))),
+    "iqr": _iqr,
+    "std": lambda arr: float(np.std(arr, ddof=1)),
+}
+# Smallest sample each public estimator accepts (default 1). The bootstrap
+# is exempt, so its IQM of fewer than 4 values is the mean.
+_MIN_VALUES = {"iqm": 4, "std": 2}
+
+AGGREGATES = tuple(PERFORMANCE)
+
+
+def _lookup(table: Dict[str, Estimator], what: str, kind: str) -> Estimator:
+    if kind not in table:
+        raise ValueError(f"unknown {what} {kind!r}, valid: {', '.join(table)}")
+    return table[kind]
+
+
+def _estimate(table: Dict[str, Estimator], what: str, kind: str, x) -> float:
+    fn = _lookup(table, what, kind)
+    arr = _clean_1d("x", x)
+    need = _MIN_VALUES.get(kind, 1)
+    if arr.shape[0] < need:
+        raise ValueError(f"{kind} needs at least {need} values, got {arr.shape[0]}")
+    return fn(arr)
+
+
+def performance(x, kind: str = "mean") -> float:
+    """Performance estimate of a sample: 'mean', 'median' or 'iqm'."""
+    return _estimate(PERFORMANCE, "perf estimator", kind, x)
+
+
+def dispersion(x, kind: str = "mad") -> float:
+    """Dispersion estimate of a sample: 'mad', 'iqr' or 'std' (ddof=1)."""
+    return _estimate(DISPERSION, "disp estimator", kind, x)
+
+
+def median(x) -> float:
+    """Sample median (midpoint of the two central order statistics)."""
+    return performance(x, "median")
+
+
+def mad(x) -> float:
+    """Median absolute deviation: median(|x - median(x)|), unscaled."""
+    return dispersion(x, "mad")
+
+
+def quartiles(x) -> Quartiles:
+    """First, second and third quartile with linear interpolation at
+    position (n - 1) * p."""
+    return _quartiles(_clean_1d("x", x))
+
+
 def iqr(x) -> float:
     """Interquartile range q3 - q1. Zero when all values coincide."""
-    q = quartiles(x)
-    return q.q3 - q.q1
+    return dispersion(x, "iqr")
 
 
 def iqm(x) -> float:
     """Interquartile mean: drop the lowest and highest floor(n/4) values,
     average the rest. Needs at least 4 values."""
-    arr = _clean_1d("x", x)
-    n = arr.shape[0]
-    if n < 4:
-        raise ValueError(f"iqm needs at least 4 values, got {n}")
-    trim = n // 4
-    srt = np.sort(arr)
-    return float(np.mean(srt[trim : n - trim]))
-
-
-def _aggregate(name: str, arr: np.ndarray) -> float:
-    # 'iqm' degrades gracefully to the mean for fewer than 4 values: the
-    # trim count floor(n/4) is then zero. The public iqm() keeps its strict
-    # minimum-size contract.
-    if name == "mean":
-        return float(np.mean(arr))
-    if name == "median":
-        return float(np.median(arr))
-    if name == "iqm":
-        n = arr.shape[0]
-        trim = n // 4
-        srt = np.sort(arr)
-        return float(np.mean(srt[trim : n - trim]))
-    raise ValueError(f"unknown aggregate {name!r}, valid: {', '.join(AGGREGATES)}")
+    return performance(x, "iqm")
 
 
 @dataclass(frozen=True)
@@ -113,10 +150,7 @@ def stratified_bootstrap(
     The point estimate is the aggregate of the original pooled values.
     Passing the same stream reproduces the interval exactly.
     """
-    if aggregate not in AGGREGATES:
-        raise ValueError(
-            f"unknown aggregate {aggregate!r}, valid: {', '.join(AGGREGATES)}"
-        )
+    agg = _lookup(PERFORMANCE, "aggregate", aggregate)
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     if n_resamples < 1:
@@ -134,14 +168,13 @@ def stratified_bootstrap(
     else:
         gen = stream
 
-    pooled = np.concatenate(strata)
-    point = _aggregate(aggregate, pooled)
+    point = agg(np.concatenate(strata))
 
     sizes = [s.shape[0] for s in strata]
     stats = np.empty(n_resamples)
     for b in range(n_resamples):
         parts = [s[gen.integers(0, n, size=n)] for s, n in zip(strata, sizes)]
-        stats[b] = _aggregate(aggregate, np.concatenate(parts))
+        stats[b] = agg(np.concatenate(parts))
 
     alpha = 1.0 - confidence
     lo, hi = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])

@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import os
 
 import numpy as np
 import pytest
 
 from repro_rl.cli import main
+from repro_rl.core import EvalRecord
+from repro_rl.metrics import DISP_ESTIMATORS, PERF_ESTIMATORS, LcbConfig, lcb
 
 TINY_CONFIG = {
     "env": {"name": "flat-mean-spread"},
@@ -36,11 +39,25 @@ def parse_csv(text):
 def test_print_config_emits_valid_json(capsys, tmp_path):
     assert main(["print-config"]) == 0
     cfg = json.loads(capsys.readouterr().out)
-    for key in ["env", "noise", "algo", "es", "seeds", "alphas", "n_evals"]:
+    for key in ["env", "noise", "algo", "es", "seeds", "n_evals"]:
         assert key in cfg
     out = tmp_path / "c.json"
     assert main(["print-config", "--out", str(out)]) == 0
     assert read_json(out) == cfg
+
+
+def test_interrupted_write_keeps_old_file_and_no_temp(tmp_path, monkeypatch):
+    out = tmp_path / "c.json"
+    out.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        main(["print-config", "--out", str(out)])
+    assert out.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["c.json"]
 
 
 def test_default_config_is_trainable(tmp_path, capsys):
@@ -101,8 +118,6 @@ def test_unknown_noise_kind_exits_2_naming_kinds(tmp_path, capsys):
 def test_config_rejections(tmp_path, capsys):
     cases = [
         {"algo": "sgd"},
-        {"alphas": [0.1, 1.0]},  # missing the alpha=0 point
-        {"alphas": [0.0, -1.0]},
         {"seeds": []},
         {"env": {"name": "cartpole"}},
         {"n_evals": 0},
@@ -267,6 +282,23 @@ def test_report_lcb_orders_flat_mean_spread_arms(tmp_path, capsys):
     assert cell[("arm1", "lcb[alpha=0]")] == pytest.approx(60.0, abs=6.0)
 
 
+@pytest.mark.parametrize("perf", PERF_ESTIMATORS)
+@pytest.mark.parametrize("disp", DISP_ESTIMATORS)
+def test_report_lcb_rows_equal_library_lcb(tmp_path, capsys, perf, disp):
+    # one artifact per cell, so each row's point is that artifact's LCB
+    returns = list(np.random.default_rng(5).normal(10.0, 3.0, 16))
+    path = _make_eval_artifact(tmp_path / "e.json", "p0", returns)
+    assert main(["report", path, "--metric", "lcb", "--alphas", "0,0.5,2",
+                 "--perf-estimator", perf, "--disp-estimator", disp,
+                 "--n-resamples", "10"]) == 0
+    rows = parse_csv(capsys.readouterr().out)
+    record = EvalRecord.from_json_dict(read_json(path))
+    cfg = LcbConfig(perf=perf, disp=disp)
+    assert {r["metric"]: r["point"] for r in rows} == {
+        f"lcb[alpha={a:g}]": repr(lcb(record, a, cfg)) for a in (0.0, 0.5, 2.0)
+    }
+
+
 def test_report_is_idempotent(tmp_path):
     for seed in range(3):
         _make_eval_artifact(tmp_path / f"e{seed}.json", "p0",
@@ -328,3 +360,45 @@ def test_pareto_duplicate_artifacts_both_flagged(tmp_path, capsys):
 def test_pareto_rejects_run_artifacts(tmp_path, capsys):
     (tmp_path / "run.json").write_text(json.dumps({"schema": "repro-rl-run"}))
     assert main(["pareto", str(tmp_path / "run.json")]) == 1
+
+
+def _patch_artifact(path, **fields):
+    art = read_json(path)
+    art.update(fields)
+    with open(path, "w") as fh:
+        json.dump(art, fh)
+
+
+def test_report_rejects_artifact_with_returns_but_other_schema(tmp_path, capsys):
+    path = _make_eval_artifact(tmp_path / "run.json", "p0", [1.0, 2.0])
+    _patch_artifact(path, schema="repro-rl-run")
+    assert main(["report", path, "--metric", "mean"]) == 1
+    assert "not an evaluation artifact" in capsys.readouterr().err
+
+
+MALFORMED = {
+    "nan-returns": dict(returns=[1.0, float("nan"), 3.0]),
+    "empty-returns": dict(returns=[], descriptors=[]),
+    "2d-returns": dict(returns=[[1.0, 2.0], [3.0, 4.0]]),
+    "1d-descriptors": dict(descriptors=[1.0, 2.0, 3.0]),
+    "descriptor-rows": dict(descriptors=[[1.0], [2.0]]),
+    "nan-descriptors": dict(descriptors=[[1.0], [float("nan")], [3.0]]),
+    "marginal-rows": dict(state_marginals=[[0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize(
+    "command",
+    [["report", "--metric", "mean"], ["report", "--metric", "std"],
+     ["report", "--metric", "bmad"], ["pareto"]],
+    ids=["report-mean", "report-std", "report-bmad", "pareto"],
+)
+def test_malformed_eval_artifact_exits_1(tmp_path, capsys, case, command):
+    path = _make_eval_artifact(tmp_path / "e.json", "p0", [1.0, 2.0, 3.0])
+    _patch_artifact(path, **MALFORMED[case])
+    assert main([command[0], path, *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: artifact ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err and "Warning" not in err

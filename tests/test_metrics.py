@@ -3,6 +3,8 @@ import pytest
 
 from repro_rl.core import EvalRecord
 from repro_rl.metrics import (
+    DISP_ESTIMATORS,
+    PERF_ESTIMATORS,
     LcbConfig,
     ParetoPoint,
     behavioural_iqr,
@@ -53,10 +55,14 @@ def test_lcb_alpha_zero_is_bitexact_performance():
 def test_lcb_sweep_nonincreasing():
     gen = np.random.default_rng(1)
     alphas = [0.0, 0.1, 0.4, 1.0, 2.0]
+    cfgs = [LcbConfig(p, d) for p in PERF_ESTIMATORS for d in DISP_ESTIMATORS]
     for _ in range(50):
         rec = make_record(gen.standard_normal(20))
-        vals = lcb_sweep(rec, alphas)
-        assert np.all(np.diff(vals) <= 1e-15)
+        for cfg in cfgs:
+            vals = lcb_sweep(rec, alphas, cfg)
+            assert np.all(np.diff(vals) <= 1e-15)
+            # the sweep is lcb at each alpha, bit for bit
+            assert vals.tolist() == [lcb(rec, a, cfg) for a in alphas]
 
 
 def test_lcb_validation():
