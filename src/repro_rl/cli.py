@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import glob as globmod
 import io
+import itertools
 import json
 import os
 import sys
@@ -25,8 +26,16 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import ConstantPolicy, NumericFailure, Policy, PolicyParams, derive_stream
-from .envs import BUILTIN_ENVS, EnvConfig
+from .core import (
+    ConstantPolicy,
+    EvalRecord,
+    JsonFields,
+    NumericFailure,
+    Policy,
+    PolicyParams,
+    derive_stream,
+)
+from .envs import BUILTIN_ENVS, EnvConfig, point_mass_nav
 from .metrics import (
     DISP_ESTIMATORS,
     PERF_ESTIMATORS,
@@ -44,12 +53,19 @@ from .noise import NoiseConfig
 from .optim import EsConfig, EsState, init_center, train
 from .rollout import EvalConfig, evaluate
 from .stats import stratified_bootstrap
-from .core import EvalRecord
 
 RUN_SCHEMA = "repro-rl-run"
 EVAL_SCHEMA = "repro-rl-eval"
 
 ALGOS = ("es", "res", "random", "scripted")
+# The algo name decides the ES fitness mode; "res" is the repro variant.
+FITNESS_MODE_OF_ALGO = {"es": "plain", "res": "repro"}
+# ExperimentConfig fields whose JSON value is cast element by element or to bool
+_CONFIG_CASTS = {
+    "record_state_marginal": bool,
+    "seeds": lambda v: tuple(int(s) for s in v),
+    "constant_action": lambda v: None if v is None else tuple(float(x) for x in v),
+}
 
 # report metric -> (record, alphas, lcb_cfg) -> [(row label, value)]
 REPORT_METRICS = {
@@ -71,7 +87,7 @@ class DataError(Exception):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(JsonFields):
     """Everything one train/evaluate invocation needs."""
 
     env: EnvConfig
@@ -94,21 +110,18 @@ class ExperimentConfig:
             raise ConfigError("algo 'scripted' requires constant_action")
 
     def to_json_dict(self) -> dict:
-        d = {
-            "env": self.env.to_json_dict(),
-            "noise": self.noise.to_json_dict(),
-            "algo": self.algo,
-            "es": self.es.to_json_dict(),
-            "n_evals": self.n_evals,
-            "record_state_marginal": self.record_state_marginal,
-            "seeds": list(self.seeds),
-        }
-        if self.constant_action is not None:
-            d["constant_action"] = list(self.constant_action)
+        d = super().to_json_dict()
+        if self.constant_action is None:
+            del d["constant_action"]
         return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
+        """Config from JSON. A missing `env` is point-mass-nav, a missing
+        `noise` or `es` section takes that class's defaults, and a missing
+        `es.arch` is (state_dim, 16, 16, action_dim)."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
         try:
             env_entry = d.get("env", {"name": "point-mass-nav"})
             if "name" in env_entry:
@@ -124,47 +137,35 @@ class ExperimentConfig:
             es = EsConfig.from_json_dict(d.get("es", {}))
             if es.arch is None:
                 es = dataclasses.replace(es, arch=(env.state_dim, 16, 16, env.action_dim))
-            algo = d.get("algo", "es")
-            # The algo name decides the fitness mode; "res" is the repro variant.
-            if algo == "es":
-                es = dataclasses.replace(es, fitness_mode="plain")
-            elif algo == "res":
-                es = dataclasses.replace(es, fitness_mode="repro")
-            ca = d.get("constant_action")
-            return cls(
-                env=env,
-                noise=noise,
-                algo=algo,
-                es=es,
-                n_evals=int(d.get("n_evals", 256)),
-                record_state_marginal=bool(d.get("record_state_marginal", False)),
-                seeds=tuple(int(s) for s in d.get("seeds", [0])),
-                constant_action=None if ca is None else tuple(float(x) for x in ca),
-            )
+            given = {k: cast(d[k]) for k, cast in _CONFIG_CASTS.items() if k in d}
+            cfg = super().from_json_dict(d, env=env, noise=noise, es=es, **given)
+            mode = FITNESS_MODE_OF_ALGO.get(cfg.algo, es.fitness_mode)
+            return dataclasses.replace(cfg, es=dataclasses.replace(es, fitness_mode=mode))
         except ConfigError:
             raise
-        except (ValueError, TypeError, KeyError) as e:
+        except (ValueError, TypeError) as e:
             raise ConfigError(str(e)) from e
 
 
 def default_config() -> ExperimentConfig:
-    return ExperimentConfig(
-        env=BUILTIN_ENVS["point-mass-nav"](),
-        noise=NoiseConfig(kind="init-state"),
-        algo="es",
-        es=EsConfig(arch=(4, 16, 16, 2), popsize=32, sigma_es=0.1, lr=0.05, generations=50),
-    )
+    return ExperimentConfig(env=point_mass_nav(), noise=NoiseConfig(kind="init-state"))
+
+
+def _read_json(path: str, what: str):
+    """Parsed JSON of `path`; any failure to read or parse it is a DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as e:
+        raise DataError(f"{what} not found: {path}") from e
+    except json.JSONDecodeError as e:
+        raise DataError(f"{what} {path} is not valid JSON: {e}") from e
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"{what} {path} cannot be read: {e}") from e
 
 
 def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as e:
-        raise DataError(f"config file not found: {path}") from e
-    except json.JSONDecodeError as e:
-        raise DataError(f"config file {path} is not valid JSON: {e}") from e
-    return ExperimentConfig.from_json_dict(raw)
+    return ExperimentConfig.from_json_dict(_read_json(path, "config file"))
 
 
 def _now() -> str:
@@ -229,8 +230,8 @@ def _parse_alphas(text: str) -> Tuple[float, ...]:
         alphas = tuple(float(s) for s in text.split(",") if s.strip() != "")
     except ValueError as e:
         raise ConfigError(f"bad --alphas value {text!r}: {e}") from e
-    if not alphas or any(a < 0 for a in alphas):
-        raise ConfigError("--alphas must be non-empty and non-negative")
+    if not alphas or not all(0 <= a < np.inf for a in alphas):
+        raise ConfigError("--alphas must be non-empty, finite and non-negative")
     return alphas
 
 
@@ -267,16 +268,15 @@ def cmd_train(args) -> int:
 
 
 def _load_policy_file(path: str) -> Tuple[Policy, str, Optional[str]]:
+    raw = _read_json(path, "policy file")
+    if not isinstance(raw, dict):
+        raise DataError(f"policy file {path} is not a JSON object")
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as e:
-        raise DataError(f"policy file not found: {path}") from e
-    except json.JSONDecodeError as e:
-        raise DataError(f"policy file {path} is not valid JSON: {e}") from e
-    policy = policy_from_json_dict(raw)
-    algo = raw.get("algo") if isinstance(raw, dict) else None
-    if isinstance(raw, dict) and raw.get("schema") == RUN_SCHEMA:
+        policy = policy_from_json_dict(raw)
+    except TypeError as e:
+        raise DataError(f"policy file {path} is malformed: {e}") from e
+    algo = raw.get("algo")
+    if raw.get("schema") == RUN_SCHEMA:
         policy_id = f"{raw.get('algo', 'run')}-seed{raw.get('seed', 0)}"
     else:
         policy_id = os.path.splitext(os.path.basename(path))[0]
@@ -287,14 +287,14 @@ def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     if args.seeds is not None:
         cfg = dataclasses.replace(cfg, seeds=_parse_seeds(args.seeds))
-    policy, policy_id, algo = _load_policy_file(args.policy)
+    policies = [_load_policy_file(path) for path in _collect_inputs([args.policy])]
     if args.policy_id is not None:
-        policy_id = args.policy_id
-    if algo is None:
-        algo = cfg.algo
+        if len(policies) > 1:
+            raise ConfigError(f"--policy-id names one policy, {args.policy} holds {len(policies)}")
+        policies = [(policies[0][0], args.policy_id, policies[0][2])]
 
-    single_file = len(cfg.seeds) == 1 and args.out.endswith(".json")
-    for seed in cfg.seeds:
+    single_file = len(policies) == 1 and len(cfg.seeds) == 1 and args.out.endswith(".json")
+    for (policy, policy_id, algo), seed in itertools.product(policies, cfg.seeds):
         record = evaluate(
             policy,
             cfg.env,
@@ -310,7 +310,7 @@ def cmd_evaluate(args) -> int:
         artifact = record.to_json_dict()
         artifact["schema"] = EVAL_SCHEMA
         artifact["created_at"] = _now()
-        artifact["algo"] = algo
+        artifact["algo"] = cfg.algo if algo is None else algo
         artifact["config"] = cfg.to_json_dict()
         if single_file:
             path = args.out
@@ -339,13 +339,7 @@ def _collect_inputs(paths: List[str]) -> List[str]:
 
 
 def _load_eval_artifact(path: str) -> Tuple[EvalRecord, dict]:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as e:
-        raise DataError(f"artifact not found: {path}") from e
-    except json.JSONDecodeError as e:
-        raise DataError(f"artifact {path} is not valid JSON: {e}") from e
+    raw = _read_json(path, "artifact")
     if not isinstance(raw, dict) or raw.get("schema") != EVAL_SCHEMA:
         raise DataError(f"artifact {path} is not an evaluation artifact ({EVAL_SCHEMA})")
     try:
@@ -405,7 +399,11 @@ def cmd_report(args) -> int:
                 f"artifact {path} has no state marginals; re-run evaluate with "
                 "record_state_marginal true"
             )
-        for label, value in REPORT_METRICS[args.metric](record, alphas, lcb_cfg):
+        try:
+            scored = REPORT_METRICS[args.metric](record, alphas, lcb_cfg)
+        except ValueError as e:  # too few returns or descriptors for the estimator
+            raise DataError(f"artifact {path}: {e}") from e
+        for label, value in scored:
             key = (record.env_id, algo, _noise_label(record.noise), label)
             cells.setdefault(key, []).append((record.master_seed, value))
 

@@ -8,7 +8,7 @@ which they are created, so parallel evaluation cannot change results.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -60,8 +60,59 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
         raise ValueError(f"{name} contains non-finite values")
 
 
+# JSON value -> field value, by the field's annotation (a string, as every
+# module here uses `from __future__ import annotations`); other annotations
+# take the JSON value as it is.
+_JSON_CASTS = {
+    "int": int,
+    "float": float,
+    "tuple": tuple,
+    "Optional[tuple]": lambda v: None if v is None else tuple(v),
+    "np.ndarray": lambda v: np.asarray(v, dtype=np.float64),
+}
+
+
+@lru_cache(maxsize=None)
+def _field_casts(cls) -> tuple:
+    return tuple((f.name, _JSON_CASTS.get(f.type, lambda v: v)) for f in fields(cls))
+
+
+def _json_value(v):
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, tuple):
+        return list(v)
+    if isinstance(v, JsonFields):
+        return v.to_json_dict()
+    return v
+
+
+class JsonFields:
+    """JSON round trip of a dataclass, driven by its fields, so each field
+    and its default is stated once, in the class body.
+
+    Tuples and arrays become lists. On load a missing key takes the field
+    default, unknown keys are ignored and values are cast by annotation
+    (`int`, `float`, `tuple`, `Optional[tuple]`, `np.ndarray`).
+    """
+
+    def to_json_dict(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_json_dict(cls, d: dict, **given):
+        """Instance from JSON object `d`; `given` values are used as they are
+        in place of the keys of the same names."""
+        if not isinstance(d, dict):
+            raise TypeError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
+        for name, cast in _field_casts(cls):
+            if name in d and name not in given:
+                given[name] = cast(d[name])
+        return cls(**given)
+
+
 @dataclass(frozen=True, eq=False)
-class PolicyParams:
+class PolicyParams(JsonFields):
     """Flat parameter vector of a tanh-squashed dense policy network.
 
     theta stores layer blocks in order: W1 (row-major, shape n_in x n_out),
@@ -93,24 +144,9 @@ class PolicyParams:
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "arch": list(self.arch),
-            "activation": self.activation,
-            "theta": [float(x) for x in self.theta],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PolicyParams":
-        return cls(
-            theta=np.asarray(d["theta"], dtype=np.float64),
-            arch=tuple(d["arch"]),
-            activation=d.get("activation", "tanh"),
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class ConstantPolicy:
+class ConstantPolicy(JsonFields):
     """Scripted policy that emits the same action every step."""
 
     action: np.ndarray
@@ -123,13 +159,6 @@ class ConstantPolicy:
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "action", a)
-
-    def to_json_dict(self) -> dict:
-        return {"action": [float(x) for x in self.action]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ConstantPolicy":
-        return cls(action=np.asarray(d["action"], dtype=np.float64))
 
 
 Policy = Union[PolicyParams, ConstantPolicy]

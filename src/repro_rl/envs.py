@@ -17,7 +17,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .core import EpisodeFinished, ShapeError
+from .core import EpisodeFinished, JsonFields, ShapeError
 
 ACTION_LOW = -1.0
 ACTION_HIGH = 1.0
@@ -27,7 +27,7 @@ FAMILIES = ("point-mass", "bandit")
 
 
 @dataclass(frozen=True)
-class EnvConfig:
+class EnvConfig(JsonFields):
     """Static description of one environment instance."""
 
     env_id: str
@@ -48,39 +48,6 @@ class EnvConfig:
             raise ValueError(f"unknown env family {self.family!r}")
         if self.episode_length < 1:
             raise ValueError("episode_length must be >= 1")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "env_id": self.env_id,
-            "family": self.family,
-            "episode_length": self.episode_length,
-            "state_dim": self.state_dim,
-            "action_dim": self.action_dim,
-            "dt": self.dt,
-            "v_max": self.v_max,
-            "start": list(self.start),
-            "goal": list(self.goal),
-            "mean_base": self.mean_base,
-            "mean_slope": self.mean_slope,
-            "spread_max": self.spread_max,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EnvConfig":
-        return cls(
-            env_id=d["env_id"],
-            family=d["family"],
-            episode_length=int(d["episode_length"]),
-            state_dim=int(d["state_dim"]),
-            action_dim=int(d["action_dim"]),
-            dt=float(d.get("dt", 0.0)),
-            v_max=float(d.get("v_max", 0.0)),
-            start=tuple(d.get("start", ())),
-            goal=tuple(d.get("goal", ())),
-            mean_base=float(d.get("mean_base", 0.0)),
-            mean_slope=float(d.get("mean_slope", 0.0)),
-            spread_max=float(d.get("spread_max", 0.0)),
-        )
 
 
 def point_mass_nav(

@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core import JsonFields
 from .envs import EnvConfig
 
 KINDS = ("none", "action", "obs", "reward", "param", "init-state", "dynamics")
@@ -56,7 +57,7 @@ def default_sigma(kind: str) -> float:
 
 
 @dataclass(frozen=True)
-class NoiseConfig:
+class NoiseConfig(JsonFields):
     """Which uncertainty source is active and how strong it is.
 
     sigma=None resolves to the per-kind default. `resample` only matters for
@@ -89,23 +90,6 @@ class NoiseConfig:
         if self.kind == "none" and sigma != 0.0:
             raise ValueError("noise kind 'none' requires sigma 0")
         object.__setattr__(self, "sigma", sigma)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "sigma": self.sigma,
-            "resample": self.resample,
-            "obs_affects_reward": self.obs_affects_reward,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "NoiseConfig":
-        return cls(
-            kind=d.get("kind", "none"),
-            sigma=d.get("sigma"),
-            resample=d.get("resample", "per-episode"),
-            obs_affects_reward=d.get("obs_affects_reward", True),
-        )
 
 
 def n_init_dims(cfg: EnvConfig) -> int:

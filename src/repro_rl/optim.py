@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import PolicyParams, RngStream, derive_stream, param_count
+from .core import JsonFields, PolicyParams, RngStream, derive_stream, param_count
 from .envs import EnvConfig
 from .noise import NoiseConfig
 from .rollout import EvalConfig, evaluate
@@ -35,7 +35,7 @@ FIT_TAG = "es-fit"
 
 
 @dataclass(frozen=True)
-class EsConfig:
+class EsConfig(JsonFields):
     """Hyperparameters of one ES run."""
 
     arch: Optional[tuple] = None
@@ -70,36 +70,6 @@ class EsConfig:
             raise ValueError(f"n_reevals must be >= 2, got {self.n_reevals}")
         if not 0.0 <= self.repro_weight <= 1.0:
             raise ValueError(f"repro_weight must be in [0, 1], got {self.repro_weight}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "arch": None if self.arch is None else list(self.arch),
-            "activation": self.activation,
-            "popsize": self.popsize,
-            "sigma_es": self.sigma_es,
-            "lr": self.lr,
-            "l2": self.l2,
-            "generations": self.generations,
-            "fitness_mode": self.fitness_mode,
-            "n_reevals": self.n_reevals,
-            "repro_weight": self.repro_weight,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EsConfig":
-        arch = d.get("arch")
-        return cls(
-            arch=None if arch is None else tuple(arch),
-            activation=d.get("activation", "tanh"),
-            popsize=int(d.get("popsize", 64)),
-            sigma_es=float(d.get("sigma_es", 0.1)),
-            lr=float(d.get("lr", 0.03)),
-            l2=float(d.get("l2", 0.0)),
-            generations=int(d.get("generations", 100)),
-            fitness_mode=d.get("fitness_mode", "plain"),
-            n_reevals=int(d.get("n_reevals", 32)),
-            repro_weight=float(d.get("repro_weight", 0.5)),
-        )
 
 
 @dataclass

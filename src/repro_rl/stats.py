@@ -72,8 +72,6 @@ DISPERSION: Dict[str, Estimator] = {
 # is exempt, so its IQM of fewer than 4 values is the mean.
 _MIN_VALUES = {"iqm": 4, "std": 2}
 
-AGGREGATES = tuple(PERFORMANCE)
-
 
 def _lookup(table: Dict[str, Estimator], what: str, kind: str) -> Estimator:
     if kind not in table:

@@ -46,6 +46,67 @@ def test_print_config_emits_valid_json(capsys, tmp_path):
     assert read_json(out) == cfg
 
 
+PRINT_CONFIG = """\
+{
+  "algo": "es",
+  "env": {
+    "action_dim": 2,
+    "dt": 0.1,
+    "env_id": "point-mass-nav",
+    "episode_length": 100,
+    "family": "point-mass",
+    "goal": [
+      1.0,
+      1.0
+    ],
+    "mean_base": 0.0,
+    "mean_slope": 0.0,
+    "spread_max": 0.0,
+    "start": [
+      0.0,
+      0.0
+    ],
+    "state_dim": 4,
+    "v_max": 1.0
+  },
+  "es": {
+    "activation": "tanh",
+    "arch": [
+      4,
+      16,
+      16,
+      2
+    ],
+    "fitness_mode": "plain",
+    "generations": 50,
+    "l2": 0.0,
+    "lr": 0.05,
+    "n_reevals": 32,
+    "popsize": 32,
+    "repro_weight": 0.5,
+    "sigma_es": 0.1
+  },
+  "n_evals": 256,
+  "noise": {
+    "kind": "init-state",
+    "obs_affects_reward": true,
+    "resample": "per-episode",
+    "sigma": 0.1
+  },
+  "record_state_marginal": false,
+  "seeds": [
+    0
+  ]
+}
+"""
+
+
+def test_print_config_is_byte_stable(capsys):
+    # the config echo in every artifact is this text's dict; its bytes must not drift
+    assert main(["print-config"]) == 0
+    assert capsys.readouterr().out == PRINT_CONFIG
+
+
 def test_interrupted_write_keeps_old_file_and_no_temp(tmp_path, monkeypatch):
     out = tmp_path / "c.json"
     out.write_text("old\n")
@@ -384,21 +445,153 @@ MALFORMED = {
     "descriptor-rows": dict(descriptors=[[1.0], [2.0]]),
     "nan-descriptors": dict(descriptors=[[1.0], [float("nan")], [3.0]]),
     "marginal-rows": dict(state_marginals=[[0.0, 1.0]]),
+    # well-formed, but too few values for some estimators
+    "one-return": dict(returns=[1.0], descriptors=[[1.0]], state_marginals=[[0.0]]),
 }
+COMMANDS = {
+    "report-mean": ["report", "--metric", "mean"],
+    "report-std": ["report", "--metric", "std"],
+    "report-bmad": ["report", "--metric", "bmad"],
+    "pareto": ["pareto"],
+    "report-iqm": ["report", "--metric", "iqm"],
+    "report-biqr": ["report", "--metric", "biqr"],
+    "report-smad": ["report", "--metric", "smad"],
+}
+MALFORMED_RUNS = [
+    (command, case)
+    for command in ["report-mean", "report-std", "report-bmad", "pareto"]
+    for case in sorted(set(MALFORMED) - {"one-return"})
+] + [
+    (command, "one-return")
+    for command in ["report-iqm", "report-std", "report-bmad", "report-biqr", "report-smad"]
+]
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
 @pytest.mark.parametrize(
-    "command",
-    [["report", "--metric", "mean"], ["report", "--metric", "std"],
-     ["report", "--metric", "bmad"], ["pareto"]],
-    ids=["report-mean", "report-std", "report-bmad", "pareto"],
+    "command,case", MALFORMED_RUNS, ids=[f"{c}-{k}" for c, k in MALFORMED_RUNS]
 )
 def test_malformed_eval_artifact_exits_1(tmp_path, capsys, case, command):
     path = _make_eval_artifact(tmp_path / "e.json", "p0", [1.0, 2.0, 3.0])
     _patch_artifact(path, **MALFORMED[case])
+    command = COMMANDS[command]
     assert main([command[0], path, *command[1:]]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: artifact ")
     assert err.count("\n") == 1
     assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("alphas", ["nan", "inf", "0,-1"])
+def test_report_rejects_bad_alphas_exits_2(tmp_path, capsys, alphas):
+    path = _make_eval_artifact(tmp_path / "e.json", "p0", [1.0, 2.0, 3.0])
+    assert main(["report", path, "--metric", "lcb", "--alphas", alphas]) == 2
+    assert "--alphas" in capsys.readouterr().err
+
+
+def _expect_one_line_error(capsys, rc, code):
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# name -> (file contents, or None for a directory; exit code)
+BAD_CONFIGS = {
+    "directory": (None, 1),
+    "binary": (b"\xff\xfe\x00{", 1),
+    "not-json": (b"{", 1),
+    "top-level-list": (b"[1, 2]", 2),
+    "top-level-null": (b"null", 2),
+    "noise-string": (b'{"noise": "obs"}', 2),
+    "es-list": (b'{"es": [1]}', 2),
+    "env-number": (b'{"env": 5}', 2),
+    "env-fields-missing": (b'{"env": {"family": "bandit"}}', 2),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_CONFIGS))
+def test_bad_config_file_exits_cleanly(tmp_path, capsys, name):
+    content, code = BAD_CONFIGS[name]
+    path = tmp_path / "cfg.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    rc = main(["train", "--config", str(path), "--out", str(tmp_path / "runs")])
+    _expect_one_line_error(capsys, rc, code)
+
+
+BAD_POLICIES = {
+    "no-arch": {"theta": [0.0] * 7},
+    "number": 5,
+    "list": [0.5],
+    "final-policy-string": {"final_policy": "mlp"},
+    "arch-number": {"theta": [0.0] * 7, "arch": 3},
+    "no-theta-or-action": {"arch": [1, 2, 1]},
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_POLICIES))
+def test_bad_policy_file_exits_1(tmp_path, capsys, name):
+    cfg = write_config(tmp_path / "cfg.json", seeds=[0])
+    pol = tmp_path / "pol.json"
+    pol.write_text(json.dumps(BAD_POLICIES[name]))
+    rc = main(["evaluate", "--config", cfg, "--policy", str(pol),
+               "--out", str(tmp_path / "eval.json")])
+    _expect_one_line_error(capsys, rc, 1)
+
+
+def test_unreadable_artifacts_in_input_dir_exit_1(tmp_path, capsys):
+    evals = tmp_path / "evals"
+    evals.mkdir()
+    _make_eval_artifact(evals / "a.json", "A", [1.0, 2.0, 3.0])
+    (evals / "sub.json").mkdir()
+    _expect_one_line_error(capsys, main(["report", str(evals), "--metric", "mean"]), 1)
+    (evals / "sub.json").rmdir()
+    (evals / "bin.json").write_bytes(b"\xff\xfe")
+    _expect_one_line_error(capsys, main(["pareto", str(evals)]), 1)
+
+
+def test_evaluate_directory_of_runs(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", seeds=[0, 1])
+    runs = str(tmp_path / "runs")
+    assert main(["train", "--config", cfg, "--out", runs]) == 0
+    assert main(["evaluate", "--config", cfg, "--policy", runs, "--seeds", "5",
+                 "--out", str(tmp_path / "evals")]) == 0
+    assert sorted(os.listdir(tmp_path / "evals")) == [
+        "eval_es-seed0_seed5.json", "eval_es-seed1_seed5.json"
+    ]
+    # each artifact equals evaluating that run file on its own
+    assert main(["evaluate", "--config", cfg, "--policy", os.path.join(runs, "train_es_seed1.json"),
+                 "--seeds", "5", "--out", str(tmp_path / "one.json")]) == 0
+    art, one = read_json(tmp_path / "evals" / "eval_es-seed1_seed5.json"), read_json(tmp_path / "one.json")
+    art.pop("created_at"), one.pop("created_at")
+    assert art == one
+    capsys.readouterr()
+    rc = main(["evaluate", "--config", cfg, "--policy", runs, "--policy-id", "x",
+               "--out", str(tmp_path / "evals2")])
+    _expect_one_line_error(capsys, rc, 2)
+    assert not (tmp_path / "evals2").exists()
+
+
+def test_readme_cli_quickstart(tmp_path, capsys, monkeypatch):
+    # print-config -> train -> evaluate --policy runs/ -> report -> pareto, cut down
+    monkeypatch.chdir(tmp_path)
+    assert main(["print-config", "--out", "config.json"]) == 0
+    cfg = read_json("config.json")
+    cfg["es"].update({"popsize": 4, "generations": 1})
+    cfg.update({"n_evals": 8, "seeds": [0, 1]})
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert main(["train", "--config", "config.json", "--out", "runs/"]) == 0
+    assert main(["evaluate", "--config", "config.json", "--policy", "runs/",
+                 "--out", "evals/"]) == 0
+    assert len(os.listdir("evals")) == 4
+    assert main(["report", "evals/", "--metric", "lcb", "--alphas", "0,0.5,1",
+                 "--n-resamples", "50", "--out", "report.csv"]) == 0
+    rows = parse_csv((tmp_path / "report.csv").read_text())
+    assert sorted((r["metric"], r["n_seeds"]) for r in rows) == sorted(
+        (f"lcb[alpha={a}]", "4") for a in ("0", "0.5", "1")
+    )
+    assert main(["pareto", "evals/", "--out", "front.csv"]) == 0
+    front = parse_csv((tmp_path / "front.csv").read_text())
+    assert sorted(r["policy_id"] for r in front) == ["es-seed0"] * 2 + ["es-seed1"] * 2

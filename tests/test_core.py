@@ -57,14 +57,20 @@ def test_policy_params_theta_is_read_only():
 def test_policy_params_json_round_trip():
     gen = np.random.default_rng(0)
     p = PolicyParams(theta=gen.standard_normal(386), arch=(4, 16, 16, 2), activation="relu")
-    q = PolicyParams.from_json_dict(p.to_json_dict())
+    d = p.to_json_dict()
+    assert d["arch"] == [4, 16, 16, 2] and type(d["theta"][0]) is float
+    q = PolicyParams.from_json_dict(d)
     assert q.arch == p.arch
     assert q.activation == p.activation
     assert np.array_equal(q.theta, p.theta)
+    # a missing activation is the default; unknown keys ("kind") are ignored
+    r = PolicyParams.from_json_dict({"kind": "mlp", "arch": [1, 1], "theta": [0.5, 0]})
+    assert r.activation == "tanh" and np.array_equal(r.theta, [0.5, 0.0])
 
 
 def test_constant_policy_round_trip_and_validation():
     c = ConstantPolicy(action=np.array([0.25, -0.5]))
+    assert c.to_json_dict() == {"action": [0.25, -0.5]}
     d = ConstantPolicy.from_json_dict(c.to_json_dict())
     assert np.array_equal(c.action, d.action)
     with pytest.raises(ValueError):

@@ -46,6 +46,15 @@ def test_env_config_validation_and_round_trip():
         EnvConfig(env_id="x", family="bandit", episode_length=0, state_dim=1, action_dim=1)
     pm = point_mass_nav()
     assert EnvConfig.from_json_dict(pm.to_json_dict()) == pm
+    # every field off its default
+    off = EnvConfig(env_id="x", family="bandit", episode_length=3, state_dim=2, action_dim=2,
+                    dt=0.5, v_max=2.0, start=(1.0, 2.0), goal=(3.0, 4.0), mean_base=1.0,
+                    mean_slope=2.0, spread_max=3.0)
+    d = off.to_json_dict()
+    assert d["start"] == [1.0, 2.0] and d["goal"] == [3.0, 4.0]
+    assert EnvConfig.from_json_dict(d) == off
+    with pytest.raises(TypeError, match="env_id"):
+        EnvConfig.from_json_dict({"family": "bandit", "episode_length": 1})
 
 
 def test_reset_states():

@@ -44,6 +44,11 @@ def test_config_validation():
 def test_config_json_round_trip():
     c = NoiseConfig(kind="obs", sigma=0.3, obs_affects_reward=False)
     assert NoiseConfig.from_json_dict(c.to_json_dict()) == c
+    # every field off its default
+    off = NoiseConfig(kind="param", sigma=0.5, resample="per-step", obs_affects_reward=False)
+    assert NoiseConfig.from_json_dict(off.to_json_dict()) == off
+    # a missing sigma resolves to the kind's default
+    assert NoiseConfig.from_json_dict({"kind": "reward"}).sigma == default_sigma("reward")
 
 
 def test_sigma_zero_collapses_to_noiseless():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,25 @@ def test_config_validation():
 def test_config_round_trip():
     cfg = small_cfg(fitness_mode="repro", n_reevals=8, repro_weight=0.25)
     assert EsConfig.from_json_dict(cfg.to_json_dict()) == cfg
+    # every field off its default
+    off = EsConfig(arch=(2, 3, 1), activation="relu", popsize=6, sigma_es=0.2, lr=0.01,
+                   l2=0.001, generations=7, fitness_mode="repro", n_reevals=5,
+                   repro_weight=0.9)
+    d = off.to_json_dict()
+    assert d["arch"] == [2, 3, 1]
+    assert EsConfig.from_json_dict(d) == off
+    # missing keys take the defaults, unknown keys are ignored
+    assert EsConfig.from_json_dict({"alphas": [0.5]}) == EsConfig()
+    assert EsConfig().to_json_dict()["arch"] is None
+
+
+def test_config_from_json_applies_casts():
+    cfg = EsConfig.from_json_dict({"sigma_es": 1, "popsize": 8.0, "arch": [1, 2.0, 1]})
+    assert cfg.popsize == 8 and cfg.arch == (1, 2, 1)
+    assert json.dumps(cfg.to_json_dict()["sigma_es"]) == "1.0"
+    assert json.dumps(cfg.to_json_dict()["popsize"]) == "8"
+    with pytest.raises(TypeError, match="JSON object"):
+        EsConfig.from_json_dict([1])
 
 
 def test_init_center_layout():
