@@ -273,7 +273,7 @@ def _load_policy_file(path: str) -> Tuple[Policy, str, Optional[str]]:
         raise DataError(f"policy file {path} is not a JSON object")
     try:
         policy = policy_from_json_dict(raw)
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise DataError(f"policy file {path} is malformed: {e}") from e
     algo = raw.get("algo")
     if raw.get("schema") == RUN_SCHEMA:
@@ -389,7 +389,7 @@ def cmd_report(args) -> int:
     lcb_cfg = LcbConfig(perf=args.perf_estimator, disp=args.disp_estimator)
     files = _collect_inputs(args.inputs)
 
-    # cells: (env, algo, noise_label, metric_label) -> list of (seed, value)
+    # cells: (env, algo, noise_label, metric_label) -> policy_id -> [(eval seed, value)]
     cells: dict = {}
     for path in files:
         record, raw = _load_eval_artifact(path)
@@ -405,12 +405,18 @@ def cmd_report(args) -> int:
             raise DataError(f"artifact {path}: {e}") from e
         for label, value in scored:
             key = (record.env_id, algo, _noise_label(record.noise), label)
-            cells.setdefault(key, []).append((record.master_seed, value))
+            runs = cells.setdefault(key, {})
+            runs.setdefault(record.policy_id, []).append((record.master_seed, value))
 
     rows = []
     for idx, key in enumerate(sorted(cells)):
         env_id, algo, noise_label, metric_label = key
-        pairs = sorted(cells[key])
+        # One entry per training run: the mean over its eval seeds, keyed by
+        # the smallest, so re-seeded evaluations do not count as more runs.
+        pairs = sorted(
+            (min(evals)[0], float(np.mean([v for _, v in sorted(evals)])))
+            for evals in cells[key].values()
+        )
         values = np.array([v for _, v in pairs])
         ci = stratified_bootstrap(
             [values],

@@ -11,21 +11,21 @@ The gradient estimate uses centered ranks instead of raw fitness. Ranks
 are averaged over ties, which makes the update vanish exactly when fitness
 is mirror-symmetric (a tied pair contributes u * eps + u * (-eps) = 0).
 
-One generation function serves both front ends: `train` scores candidate
-policies by `fitness`, `optimize_function` by a black-box objective.
+One generation function serves both front ends: `train` scores the whole
+population in one rollout-engine pass, `optimize_function` by an objective.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import JsonFields, PolicyParams, RngStream, derive_stream, param_count
+from .core import JsonFields, PolicyParams, RngStream, dense_layers, derive_stream, param_count
 from .envs import EnvConfig
 from .noise import NoiseConfig
-from .rollout import EvalConfig, evaluate
+from .rollout import _rollouts
 
 FITNESS_MODES = ("plain", "repro")
 
@@ -87,11 +87,8 @@ def init_center(cfg: EsConfig, master_seed: int) -> PolicyParams:
         raise ValueError("EsConfig.arch is required to build a policy")
     gen = derive_stream(master_seed, INIT_TAG, 0).generator()
     theta = np.zeros(param_count(cfg.arch))
-    offset = 0
-    for n_in, n_out in zip(cfg.arch[:-1], cfg.arch[1:]):
-        w = gen.standard_normal(n_in * n_out) / np.sqrt(n_in)
-        theta[offset : offset + n_in * n_out] = w
-        offset += n_in * n_out + n_out
+    for w, _ in dense_layers(theta, cfg.arch):
+        w[...] = gen.standard_normal(w.shape) / np.sqrt(w.shape[0])
     return PolicyParams(theta=theta, arch=cfg.arch, activation=cfg.activation)
 
 
@@ -147,31 +144,6 @@ def _es_update(
     return center_theta + cfg.lr * grad - cfg.lr * cfg.l2 * center_theta
 
 
-def fitness(
-    candidate: PolicyParams,
-    env_cfg: EnvConfig,
-    noise_cfg: NoiseConfig,
-    cfg: EsConfig,
-    stream: RngStream,
-) -> float:
-    """Score one candidate under the configured fitness mode."""
-    eval_seed = int(stream.generator().integers(0, 2**63))
-    if cfg.fitness_mode == "plain":
-        rec = evaluate(
-            candidate, env_cfg, noise_cfg, EvalConfig(n_evals=1, master_seed=eval_seed)
-        )
-        return float(rec.returns[0])
-    rec = evaluate(
-        candidate,
-        env_cfg,
-        noise_cfg,
-        EvalConfig(n_evals=cfg.n_reevals, master_seed=eval_seed),
-    )
-    mean_r = float(np.mean(rec.returns))
-    std_r = float(np.std(rec.returns, ddof=1))
-    return cfg.repro_weight * mean_r - (1.0 - cfg.repro_weight) * std_r
-
-
 def _generation(
     theta: np.ndarray,
     generation: int,
@@ -205,24 +177,27 @@ def es_step(
     noise_cfg: NoiseConfig,
     stream: RngStream,
 ) -> EsState:
-    """One generation of policy search. Returns the new state."""
-    arch, activation = state.center.arch, state.center.activation
+    """One generation of policy search; returns the new state. Candidate c
+    is scored on rollouts 0..n-1 (n is 1 in plain mode) of the eval seed drawn
+    from stream (master, FIT_TAG, g * popsize + c), all in one engine call."""
+    n = cfg.n_reevals if cfg.fitness_mode == "repro" else 1
+    first = stream.index * cfg.popsize
+    seeds = [
+        int(derive_stream(stream.master_seed, FIT_TAG, first + c).generator().integers(0, 2**63))
+        for c in range(cfg.popsize)
+    ]
 
-    def score(thetas: np.ndarray) -> List[float]:
-        return [
-            fitness(
-                PolicyParams(theta=t, arch=arch, activation=activation),
-                env_cfg,
-                noise_cfg,
-                cfg,
-                derive_stream(stream.master_seed, FIT_TAG, stream.index * cfg.popsize + i),
-            )
-            for i, t in enumerate(thetas)
-        ]
+    def score(thetas: np.ndarray) -> Sequence[float]:
+        returns = _rollouts(state.center, env_cfg, noise_cfg, seeds, n, thetas)["returns"]
+        returns = returns.reshape(cfg.popsize, n)
+        if cfg.fitness_mode == "plain":
+            return returns[:, 0]
+        w = cfg.repro_weight
+        return [w * float(np.mean(r)) - (1.0 - w) * float(np.std(r, ddof=1)) for r in returns]
 
     theta, row = _generation(state.center.theta, state.generation, cfg, stream, score)
     return EsState(
-        center=PolicyParams(theta=theta, arch=arch, activation=activation),
+        center=replace(state.center, theta=theta),
         generation=state.generation + 1,
         history=state.history + [row],
     )

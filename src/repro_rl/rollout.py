@@ -1,22 +1,23 @@
 """Rollout engine: run episodes under a noise model and collect records.
 
-Every rollout i of an evaluation owns three derived substreams,
-(master_seed, "init", i), (master_seed, "noise", i) and (master_seed,
-"env", i), so rollout i is the same whether it runs alone or in a batch of
-any size. Streams a rollout does not need are never materialised; by
-construction that cannot shift any other stream.
+Rollout (seed, i), the i-th rollout of the evaluation with that seed, owns
+three derived substreams, (seed, "init", i), (seed, "noise", i) and (seed,
+"env", i), so it is the same alone or in a block with any other keys.
+Streams a rollout does not need are never materialised; by construction
+that cannot shift any other stream.
 
 The engine is batched and lockstep: a block of rollouts steps together as
 (rows, ...) arrays. Each rollout's draws are taken from its own substreams
 up front, in the order documented in `noise`. The forward pass and the
 dynamics treat every row on its own and accumulate in a fixed order, so
-rollout i has the same bits at any block size. `evaluate` and
-`rollout_once` both run on this one engine.
+a rollout has the same bits at any block size, on shared or per-row
+parameters. `evaluate`, `rollout_once` and the ES scorer run on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -49,8 +50,8 @@ INIT_TAG = "init"
 NOISE_TAG = "noise"
 ENV_TAG = "env"
 
-# Rollouts stepped together by `evaluate`. Bounds the engine's temporaries
-# for any n_evals; results do not depend on it.
+# Rollouts stepped together by `evaluate` and the ES scorer. Bounds the
+# engine's temporaries for any number of rollouts; results do not depend on it.
 BLOCK_ROWS = 256
 
 
@@ -79,11 +80,11 @@ def _check_policy(policy: Policy, env_cfg: EnvConfig, noise_cfg: NoiseConfig) ->
         )
 
 
-def _draw(master_seed: int, tag: str, rows: range, size: tuple, draw) -> np.ndarray:
-    """One row per rollout i: draw(generator, size) on substream (master_seed, tag, i)."""
-    out = np.empty((len(rows), *size))
-    for r, i in enumerate(rows):
-        out[r] = draw(derive_stream(master_seed, tag, i).generator(), size)
+def _draw(keys: list, tag: str, size: tuple, draw) -> np.ndarray:
+    """One row per key (seed, i): draw(generator, size) on substream (seed, tag, i)."""
+    out = np.empty((len(keys), *size))
+    for r, (seed, i) in enumerate(keys):
+        out[r] = draw(derive_stream(seed, tag, i).generator(), size)
     return out
 
 
@@ -91,38 +92,36 @@ def _run_block(
     policy: Policy,
     env_cfg: EnvConfig,
     noise_cfg: NoiseConfig,
-    master_seed: int,
-    rows: range,
+    keys: list,
+    thetas: Optional[np.ndarray] = None,
 ) -> Trajectory:
-    """Step the rollouts `rows` together; returns their trajectories as a block."""
-    n, n_steps = len(rows), env_cfg.episode_length
+    """Step the rollouts `keys` together, row r on thetas[r] in place of
+    `policy.theta` when given; returns their trajectories as a block."""
+    _check_policy(policy, env_cfg, noise_cfg)
+    n, n_steps = len(keys), env_cfg.episode_length
     kind, sigma = noise_cfg.kind, noise_cfg.sigma
-    n_params = policy.theta.shape[0] if isinstance(policy, PolicyParams) else 0
+    base = policy.theta if thetas is None and isinstance(policy, PolicyParams) else thetas
+    n_params = 0 if base is None else base.shape[-1]
 
     normal = np.random.Generator.standard_normal
     state = np.empty((n, env_cfg.state_dim))
     state[:] = env_reset(env_cfg).vec
     if kind == "init-state":
         k = n_init_dims(env_cfg)
-        state[:, :k] += sigma * _draw(master_seed, INIT_TAG, rows, (k,), normal)
+        state[:, :k] += sigma * _draw(keys, INIT_TAG, (k,), normal)
     shape = episode_draw_shape(noise_cfg, env_cfg, n_params)
-    eps = _draw(master_seed, NOISE_TAG, rows, shape, normal) if shape is not None else None
+    eps = _draw(keys, NOISE_TAG, shape, normal) if shape is not None else None
+    if kind == "param" and eps is not None:
+        base = base + sigma * eps
     step_gens = None
     if kind == "param" and noise_cfg.resample == "per-step":
-        step_gens = [derive_stream(master_seed, NOISE_TAG, i).generator() for i in rows]
+        step_gens = [derive_stream(seed, NOISE_TAG, i).generator() for seed, i in keys]
         eps_t = np.empty((n, n_params))
     u = np.zeros((n, n_steps))
     if env_cfg.family == "bandit":
-        u = _draw(
-            master_seed, ENV_TAG, rows, (n_steps,), lambda g, size: g.uniform(-1.0, 1.0, size)
-        )
+        u = _draw(keys, ENV_TAG, (n_steps,), lambda g, size: g.uniform(-1.0, 1.0, size))
 
-    layers = None
-    if isinstance(policy, PolicyParams):
-        theta = policy.theta
-        if kind == "param" and eps is not None:
-            theta = theta + sigma * eps
-        layers = dense_layers(theta, policy.arch)
+    layers = None if base is None else dense_layers(base, policy.arch)
     obs = state + sigma * eps[:, 0] if kind == "obs" else state
 
     states = np.empty((n, n_steps, env_cfg.state_dim))
@@ -136,7 +135,7 @@ def _run_block(
             if step_gens is not None:
                 for g, row in zip(step_gens, eps_t):
                     g.standard_normal(out=row)
-                layers = dense_layers(policy.theta + sigma * eps_t, policy.arch)
+                layers = dense_layers(base + sigma * eps_t, policy.arch)
             if layers is None:
                 action = policy.action
             else:
@@ -165,7 +164,7 @@ def _run_block(
     finite[:, -1] &= np.isfinite(state).all(axis=-1)
     if not finite.all():
         row, step = np.argwhere(~finite)[0]
-        index = rows[row]
+        index = keys[row][1]
         raise NumericFailure(
             f"rollout {index} hit a non-finite value at step {step}",
             step=int(step),
@@ -194,9 +193,38 @@ def rollout_once(
     The same (policy, env_cfg, noise_cfg, master_seed, index) always yields
     the same trajectory, bit for bit the one `evaluate` records for it.
     """
-    _check_policy(policy, env_cfg, noise_cfg)
-    block = _run_block(policy, env_cfg, noise_cfg, master_seed, range(index, index + 1))
+    block = _run_block(policy, env_cfg, noise_cfg, [(master_seed, index)])
     return Trajectory(**{f.name: getattr(block, f.name)[0] for f in fields(block)})
+
+
+def _rollouts(
+    policy: Policy,
+    env_cfg: EnvConfig,
+    noise_cfg: NoiseConfig,
+    seeds: Sequence[int],
+    n: int,
+    thetas: Optional[np.ndarray] = None,
+    record_state_marginal: bool = False,
+) -> dict:
+    """EvalRecord's returns, descriptors and (if asked for) state marginals
+    of rollouts 0..n-1 of each seed, seed-major: row r is key (seeds[r // n],
+    r % n) and runs thetas[r // n] when one theta per seed is given."""
+    total = len(seeds) * n
+    returns = np.empty(total)
+    descs = np.empty((total, descriptor_dim(env_cfg)))
+    width = env_cfg.episode_length * env_cfg.state_dim
+    marginals = np.empty((total, width)) if record_state_marginal else None
+    for start in range(0, total, BLOCK_ROWS):
+        rows = np.arange(start, min(start + BLOCK_ROWS, total))
+        keys = [(seeds[r // n], r % n) for r in rows.tolist()]
+        block = _run_block(
+            policy, env_cfg, noise_cfg, keys, None if thetas is None else thetas[rows // n]
+        )
+        returns[rows] = block.episode_return
+        descs[rows] = descriptor(env_cfg, block)
+        if marginals is not None:
+            marginals[rows] = block.state_marginal()
+    return {"returns": returns, "descriptors": descs, "state_marginals": marginals}
 
 
 def evaluate(
@@ -212,29 +240,13 @@ def evaluate(
     Rollouts run in blocks of BLOCK_ROWS on the calling thread. `jobs` is
     accepted for compatibility and changes neither results nor speed.
     """
-    _check_policy(policy, env_cfg, noise_cfg)
-    n = eval_cfg.n_evals
-    returns = np.empty(n)
-    descs = np.empty((n, descriptor_dim(env_cfg)))
-    marginals = (
-        np.empty((n, env_cfg.episode_length * env_cfg.state_dim))
-        if eval_cfg.record_state_marginal
-        else None
-    )
-    for start in range(0, n, BLOCK_ROWS):
-        rows = range(start, min(start + BLOCK_ROWS, n))
-        block = _run_block(policy, env_cfg, noise_cfg, eval_cfg.master_seed, rows)
-        returns[start : rows.stop] = block.episode_return
-        descs[start : rows.stop] = descriptor(env_cfg, block)
-        if marginals is not None:
-            marginals[start : rows.stop] = block.state_marginal()
-
     return EvalRecord(
         policy_id=policy_id,
         env_id=env_cfg.env_id,
         noise=noise_cfg,
         master_seed=eval_cfg.master_seed,
-        returns=returns,
-        descriptors=descs,
-        state_marginals=marginals,
+        **_rollouts(
+            policy, env_cfg, noise_cfg, [eval_cfg.master_seed], eval_cfg.n_evals,
+            record_state_marginal=eval_cfg.record_state_marginal,
+        ),
     )

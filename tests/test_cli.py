@@ -9,6 +9,7 @@ import pytest
 from repro_rl.cli import main
 from repro_rl.core import EvalRecord
 from repro_rl.metrics import DISP_ESTIMATORS, PERF_ESTIMATORS, LcbConfig, lcb
+from repro_rl.stats import PERFORMANCE
 
 TINY_CONFIG = {
     "env": {"name": "flat-mean-spread"},
@@ -321,13 +322,24 @@ def test_report_single_seed_mad(tmp_path, capsys):
 
 def test_report_iqm_aggregates_across_seeds(tmp_path, capsys):
     for seed, val in enumerate([1.0, 2.0, 3.0, 4.0]):
-        _make_eval_artifact(tmp_path / f"e{seed}.json", "p0", [val] * 4, seed=seed)
+        _make_eval_artifact(tmp_path / f"e{seed}.json", f"p{seed}", [val] * 4, seed=seed)
     assert main(["report", str(tmp_path), "--metric", "mean"]) == 0
     rows = parse_csv(capsys.readouterr().out)
     assert len(rows) == 1
     # per-seed means 1..4, trim 1 each side, mean(2,3) = 2.5
     assert float(rows[0]["point"]) == 2.5
     assert rows[0]["n_seeds"] == "4"
+
+
+def test_report_counts_training_runs_not_eval_seeds(tmp_path, capsys):
+    # three policies, each evaluated under two eval seeds: three runs, not six
+    for pid, vals in {"A": (3.0, 1.0), "B": (10.0, 20.0), "C": (100.0, 200.0)}.items():
+        for seed, val in enumerate(vals):
+            _make_eval_artifact(tmp_path / f"{pid}{seed}.json", pid, [val] * 4, seed=seed)
+    assert main(["report", str(tmp_path), "--metric", "mean"]) == 0
+    (row,) = parse_csv(capsys.readouterr().out)
+    assert row["n_seeds"] == "3"
+    assert row["point"] == repr(PERFORMANCE["iqm"](np.array([2.0, 15.0, 150.0])))
 
 
 def test_report_lcb_orders_flat_mean_spread_arms(tmp_path, capsys):
@@ -528,6 +540,9 @@ BAD_POLICIES = {
     "final-policy-string": {"final_policy": "mlp"},
     "arch-number": {"theta": [0.0] * 7, "arch": 3},
     "no-theta-or-action": {"arch": [1, 2, 1]},
+    "theta-misfits-arch": {"arch": [1, 2, 1], "theta": [0, 0, 0]},
+    "theta-not-numeric": {"arch": [1, 2, 1], "theta": ["x"] * 7},
+    "arch-zero-width": {"arch": [1, 0], "theta": []},
 }
 
 
@@ -589,8 +604,9 @@ def test_readme_cli_quickstart(tmp_path, capsys, monkeypatch):
     assert main(["report", "evals/", "--metric", "lcb", "--alphas", "0,0.5,1",
                  "--n-resamples", "50", "--out", "report.csv"]) == 0
     rows = parse_csv((tmp_path / "report.csv").read_text())
+    # two training runs, each evaluated under two eval seeds
     assert sorted((r["metric"], r["n_seeds"]) for r in rows) == sorted(
-        (f"lcb[alpha={a}]", "4") for a in ("0", "0.5", "1")
+        (f"lcb[alpha={a}]", "2") for a in ("0", "0.5", "1")
     )
     assert main(["pareto", "evals/", "--out", "front.csv"]) == 0
     front = parse_csv((tmp_path / "front.csv").read_text())

@@ -3,22 +3,23 @@ import json
 import numpy as np
 import pytest
 
-from repro_rl.core import derive_stream, policy_forward
-from repro_rl.envs import flat_mean_spread, tradeoff_spread
+from repro_rl.core import NumericFailure, PolicyParams, derive_stream, policy_forward
+from repro_rl.envs import flat_mean_spread, point_mass_nav, tradeoff_spread
 from repro_rl.noise import NoiseConfig
 from repro_rl.optim import (
+    FIT_TAG,
     EsConfig,
     EsState,
     _es_update,
+    _generation,
     es_step,
-    fitness,
     init_center,
     optimize_function,
     rank_normalize,
     sample_population,
     train,
 )
-from repro_rl.rollout import EvalConfig, evaluate
+from repro_rl.rollout import BLOCK_ROWS, EvalConfig, evaluate
 
 
 def small_cfg(**kw):
@@ -193,15 +194,79 @@ def test_optimize_function_rejects_nonfinite_objective():
         optimize_function(lambda t: float("nan"), 2, cfg, 0)
 
 
-def test_fitness_plain_is_one_rollout():
+def oracle_score(center, env, noise, cfg, stream):
+    """es_step's scorer written out per candidate: one evaluate() call each."""
+    n = cfg.n_reevals if cfg.fitness_mode == "repro" else 1
+    w = cfg.repro_weight
+
+    def score(thetas):
+        fits = []
+        for c, theta in enumerate(thetas):
+            fit = derive_stream(stream.master_seed, FIT_TAG, stream.index * cfg.popsize + c)
+            seed = int(fit.generator().integers(0, 2**63))
+            policy = PolicyParams(theta, center.arch, center.activation)
+            r = evaluate(policy, env, noise, EvalConfig(n, seed)).returns
+            fits.append(
+                r[0] if n == 1 else w * float(np.mean(r)) - (1 - w) * float(np.std(r, ddof=1))
+            )
+        return fits
+
+    return score
+
+
+@pytest.mark.parametrize("mode", ["plain", "repro"])
+@pytest.mark.parametrize(
+    "env, noise, es",
+    [
+        (tradeoff_spread(), NoiseConfig(), dict(arch=(1, 2, 1), popsize=4, n_reevals=8)),
+        (point_mass_nav(), NoiseConfig(kind="obs"), dict(arch=(4, 3, 2), popsize=4, n_reevals=4)),
+        (
+            point_mass_nav(),
+            NoiseConfig(kind="param", resample="per-step"),
+            dict(arch=(4, 3, 2), popsize=4, n_reevals=3),
+        ),
+        # 10 x 30 repro rollouts fill more than one BLOCK_ROWS (256) block,
+        # and candidate 8's rows 240..269 straddle its end
+        (
+            tradeoff_spread(),
+            NoiseConfig(kind="reward"),
+            dict(arch=(1, 2, 1), popsize=10, n_reevals=30),
+        ),
+    ],
+    ids=["tradeoff-none", "pm-obs", "pm-param-per-step", "tradeoff-reward-300-rows"],
+)
+def test_es_step_matches_per_candidate_oracle(env, noise, es, mode):
+    # a population larger than one block puts a block boundary inside a candidate
+    assert es["popsize"] * es["n_reevals"] <= BLOCK_ROWS or BLOCK_ROWS % es["n_reevals"]
+    cfg = EsConfig(fitness_mode=mode, sigma_es=0.5, generations=1, **es)
+    state = EsState(center=init_center(cfg, 2), generation=3)
+    stream = derive_stream(2, "es-gen", 3)
+    got = es_step(state, cfg, env, noise, stream)
+    theta, row = _generation(
+        state.center.theta, 3, cfg, stream, oracle_score(state.center, env, noise, cfg, stream)
+    )
+    assert np.array_equal(got.center.theta, theta)
+    assert got.history == [row]
+
+
+def test_es_step_numeric_failure_names_first_failing_candidate_rollout():
+    # sigma * eps overflows for |eps| > ~3: here the first failing candidate is
+    # 8, which straddles the block boundary, at its rollout 24 (row 264)
     env = tradeoff_spread()
-    cfg = small_cfg(fitness_mode="plain")
-    center = init_center(cfg, 0)
-    stream = derive_stream(0, "es-fit", 5)
-    got = fitness(center, env, NoiseConfig(), cfg, stream)
-    seed = int(stream.generator().integers(0, 2**63))
-    rec = evaluate(center, env, NoiseConfig(), EvalConfig(n_evals=1, master_seed=seed))
-    assert got == rec.returns[0]
+    noise = NoiseConfig(kind="reward", sigma=6e307)
+    cfg = EsConfig(arch=(1, 2, 1), popsize=10, fitness_mode="repro", n_reevals=30)
+    state = EsState(center=init_center(cfg, 10))
+    stream = derive_stream(10, "es-gen", 0)
+    with pytest.raises(NumericFailure) as got:
+        es_step(state, cfg, env, noise, stream)
+    # the oracle scores candidates 0..7 first, and their huge returns overflow
+    # mean and std; es_step runs every rollout before it reduces any
+    with pytest.raises(NumericFailure) as ref, np.errstate(all="ignore"):
+        oracle = oracle_score(state.center, env, noise, cfg, stream)
+        _generation(state.center.theta, 0, cfg, stream, oracle)
+    assert (got.value.rollout_index, got.value.step) == (ref.value.rollout_index, ref.value.step)
+    assert str(got.value) == str(ref.value)
+    assert got.value.rollout_index == 24
 
 
 def test_fitness_repro_penalises_spread():
