@@ -118,8 +118,9 @@ class ExperimentConfig(JsonFields):
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
         """Config from JSON. A missing `env` is point-mass-nav, a missing
-        `noise` or `es` section takes that class's defaults, and a missing
-        `es.arch` is (state_dim, 16, 16, action_dim)."""
+        `noise` section is `NoiseConfig()`, a missing `es` section is the `es`
+        field default, a present `es` section fills its gaps from `EsConfig`,
+        and a missing `es.arch` is (state_dim, 16, 16, action_dim)."""
         if not isinstance(d, dict):
             raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
         try:
@@ -134,7 +135,10 @@ class ExperimentConfig(JsonFields):
             else:
                 env = EnvConfig.from_json_dict(env_entry)
             noise = NoiseConfig.from_json_dict(d.get("noise", {}))
-            es = EsConfig.from_json_dict(d.get("es", {}))
+            if "es" in d:
+                es = EsConfig.from_json_dict(d["es"])
+            else:
+                es = dataclasses.replace(cls.es, arch=None)
             if es.arch is None:
                 es = dataclasses.replace(es, arch=(env.state_dim, 16, 16, env.action_dim))
             given = {k: cast(d[k]) for k, cast in _CONFIG_CASTS.items() if k in d}

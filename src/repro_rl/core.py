@@ -3,6 +3,8 @@
 Randomness discipline: every consumer derives a named substream from a single
 master seed via `derive_stream`. Substreams are independent of the order in
 which they are created, so parallel evaluation cannot change results.
+`stream_generators` builds the generators of many substreams of one tag at
+once, bit for bit the ones `derive_stream(...).generator()` builds.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -246,6 +248,129 @@ def derive_stream(master_seed: int, purpose_tag: str, index: int) -> RngStream:
     if index < 0:
         raise ValueError(f"stream index must be non-negative, got {index}")
     return RngStream(int(master_seed), purpose_tag, int(index))
+
+
+# numpy's SeedSequence is O'Neill's seed_seq_fe hash from the PCG work: 32-bit
+# multiply, xor and shift steps whose hash constants depend only on the word
+# position, so one pass runs it over every entropy row of the same length.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(init: int, mult: int, n: int) -> tuple:
+    """The hash constant before and after each of n hashing steps, as (n, 1)
+    uint32 columns."""
+    h = [init]
+    for _ in range(n):
+        h.append(h[-1] * mult & _MASK32)
+    return np.array(h[:-1], np.uint32)[:, None], np.array(h[1:], np.uint32)[:, None]
+
+
+@lru_cache(maxsize=None)
+def _pool_consts(n_words: int) -> tuple:
+    # 4 steps fill the pool, 12 mix it, and 4 mix in each word past the pool.
+    return _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (n_words - _POOL_SIZE))
+
+
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    value = (value ^ before) * after
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return out ^ (out >> 16)
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """`SeedSequence(column).generate_state(4, np.uint64)` of each column of
+    the (words, rows) uint32 `entropy` of at least 4 words, as (rows, 4)
+    uint64."""
+    before, after = _pool_consts(len(entropy))
+    pool = _hashmix(entropy[:_POOL_SIZE], before[:_POOL_SIZE], after[:_POOL_SIZE])
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], before[k : k + 3], after[k : k + 3]))
+        k += 3
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, before[k : k + 4], after[k : k + 4]))
+        k += 4
+    # Eight 32-bit words from the cycled pool, paired little-endian.
+    state = _hashmix(np.concatenate([pool, pool]), *_STATE_CONSTS).astype(np.uint64)
+    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
+
+
+def _uint32_words(values) -> tuple:
+    """The 32-bit words SeedSequence splits each value of `values` into, low
+    word first, after `int()` as `derive_stream` applies it: (words (W, n)
+    uint32, number of words of each value (n,)). Zero is one word; a negative
+    value is a ValueError, as in SeedSequence."""
+    rest = np.array(values)
+    if rest.dtype.kind not in "iu":  # floats, bools, or integers past 64 bits
+        rest = np.array([int(v) for v in values], dtype=object)
+    if (rest < 0).any():
+        raise ValueError("expected non-negative integer")
+    words = [(rest & _MASK32).astype(np.uint32)]
+    count = np.ones(len(rest), dtype=np.intp)
+    rest = rest >> 32
+    while rest.any():
+        count += rest > 0
+        words.append((rest & _MASK32).astype(np.uint32))
+        rest = rest >> 32
+    return np.array(words), count
+
+
+@lru_cache(maxsize=256)
+def _tag_entropy(tag: str) -> np.ndarray:
+    # The SeedSequence words of the tag's two hash words, as a column.
+    words, count = _uint32_words(_tag_words(tag))
+    return np.concatenate([words[: count[0], 0], words[: count[1], 1]])[:, None]
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """Seeds a PCG64 with four state words computed beforehand."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def stream_generators(keys: Sequence, tag: str) -> Iterator[np.random.Generator]:
+    """`derive_stream(seed, tag, i).generator()` for each key (seed, i), bit for
+    bit, with the SeedSequence hash of all keys run in one numpy pass.
+
+    Keys whose seed or index has a different number of 32-bit words hash in
+    separate passes. No SeedSequence object is built. Each generator is built
+    when the iterator reaches it, so a caller that uses and drops them in
+    turn holds one at a time.
+    """
+    if not keys:
+        return iter(())
+    seeds, index = zip(*keys)
+    if min(index) < 0:
+        raise ValueError(f"stream index must be non-negative, got {min(index)}")
+    seed_words, seed_count = _uint32_words(seeds)
+    index_words, index_count = _uint32_words(index)
+    tag_words = _tag_entropy(tag)
+    states = np.empty((len(keys), 4), dtype=np.uint64)
+    for n_seed, n_index in set(zip(seed_count.tolist(), index_count.tolist())):
+        rows = np.flatnonzero((seed_count == n_seed) & (index_count == n_index))
+        entropy = np.concatenate([
+            seed_words[:n_seed, rows],
+            np.broadcast_to(tag_words, (len(tag_words), rows.size)),
+            index_words[:n_index, rows],
+        ])
+        states[rows] = _seed_states(entropy)
+    return (np.random.Generator(np.random.PCG64(_StateWords(s))) for s in states)
 
 
 @dataclass

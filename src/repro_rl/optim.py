@@ -22,7 +22,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import JsonFields, PolicyParams, RngStream, dense_layers, derive_stream, param_count
+from .core import JsonFields, NumericFailure, PolicyParams, RngStream, dense_layers
+from .core import derive_stream, param_count, stream_generators
 from .envs import EnvConfig
 from .noise import NoiseConfig
 from .rollout import _rollouts
@@ -182,10 +183,8 @@ def es_step(
     from stream (master, FIT_TAG, g * popsize + c), all in one engine call."""
     n = cfg.n_reevals if cfg.fitness_mode == "repro" else 1
     first = stream.index * cfg.popsize
-    seeds = [
-        int(derive_stream(stream.master_seed, FIT_TAG, first + c).generator().integers(0, 2**63))
-        for c in range(cfg.popsize)
-    ]
+    fit_keys = [(stream.master_seed, first + c) for c in range(cfg.popsize)]
+    seeds = [int(gen.integers(0, 2**63)) for gen in stream_generators(fit_keys, FIT_TAG)]
 
     def score(thetas: np.ndarray) -> Sequence[float]:
         returns = _rollouts(state.center, env_cfg, noise_cfg, seeds, n, thetas)["returns"]
@@ -193,7 +192,12 @@ def es_step(
         if cfg.fitness_mode == "plain":
             return returns[:, 0]
         w = cfg.repro_weight
-        return [w * float(np.mean(r)) - (1.0 - w) * float(np.std(r, ddof=1)) for r in returns]
+        with np.errstate(over="ignore", invalid="ignore"):
+            fits = [w * float(np.mean(r)) - (1.0 - w) * float(np.std(r, ddof=1)) for r in returns]
+        # Finite but huge returns can overflow the mean or the spread.
+        if not np.all(np.isfinite(fits)):
+            raise NumericFailure(f"non-finite fitness at generation {state.generation}")
+        return fits
 
     theta, row = _generation(state.center.theta, state.generation, cfg, stream, score)
     return EsState(

@@ -8,9 +8,11 @@ that cannot shift any other stream.
 
 The engine is batched and lockstep: a block of rollouts steps together as
 (rows, ...) arrays. Each rollout's draws are taken from its own substreams
-up front, in the order documented in `noise`. The forward pass and the
-dynamics treat every row on its own and accumulate in a fixed order, so
-a rollout has the same bits at any block size, on shared or per-row
+up front, in the order documented in `noise`; a block's generators of one
+tag come from one vectorised SeedSequence pass (`core.stream_generators`),
+bit for bit the ones `derive_stream` gives. The forward pass and the
+dynamics treat every row on its own and accumulate in a fixed order, so a
+rollout has the same bits at any block size, on shared or per-row
 parameters. `evaluate`, `rollout_once` and the ES scorer run on it.
 """
 
@@ -31,7 +33,7 @@ from .core import (
     Trajectory,
     dense_forward,
     dense_layers,
-    derive_stream,
+    stream_generators,
 )
 from .envs import (
     ACTION_HIGH,
@@ -83,8 +85,8 @@ def _check_policy(policy: Policy, env_cfg: EnvConfig, noise_cfg: NoiseConfig) ->
 def _draw(keys: list, tag: str, size: tuple, draw) -> np.ndarray:
     """One row per key (seed, i): draw(generator, size) on substream (seed, tag, i)."""
     out = np.empty((len(keys), *size))
-    for r, (seed, i) in enumerate(keys):
-        out[r] = draw(derive_stream(seed, tag, i).generator(), size)
+    for r, gen in enumerate(stream_generators(keys, tag)):
+        out[r] = draw(gen, size)
     return out
 
 
@@ -115,7 +117,7 @@ def _run_block(
         base = base + sigma * eps
     step_gens = None
     if kind == "param" and noise_cfg.resample == "per-step":
-        step_gens = [derive_stream(seed, NOISE_TAG, i).generator() for seed, i in keys]
+        step_gens = list(stream_generators(keys, NOISE_TAG))
         eps_t = np.empty((n, n_params))
     u = np.zeros((n, n_steps))
     if env_cfg.family == "bandit":

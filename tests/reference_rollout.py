@@ -2,7 +2,9 @@
 
 One episode, one step at a time, each noise draw taken from its generator
 at the moment the draw-order contract in `repro_rl.noise` places it. The
-engine in `repro_rl.rollout` must match this loop bit for bit.
+engine in `repro_rl.rollout` must match this loop bit for bit. Its
+generators come straight from numpy's SeedSequence, not from the engine's
+batched stream derivation, so the comparison checks that derivation too.
 """
 
 from typing import Optional, Tuple
@@ -14,7 +16,7 @@ from repro_rl.core import (
     NumericFailure,
     PolicyParams,
     Trajectory,
-    derive_stream,
+    _tag_words,
     policy_action,
 )
 from repro_rl.envs import (
@@ -31,22 +33,28 @@ from repro_rl.noise import NoiseConfig, n_init_dims
 from repro_rl.rollout import ENV_TAG, INIT_TAG, NOISE_TAG
 
 
+def stream_gen(master_seed: int, tag: str, index: int) -> np.random.Generator:
+    """Generator of substream (master_seed, tag, index), built by numpy."""
+    seq = np.random.SeedSequence((master_seed, *_tag_words(tag), index))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def count_seed_sequences(monkeypatch) -> list:
+    """Entropy of every np.random.SeedSequence built from now on."""
+    built, real = [], np.random.SeedSequence
+
+    def counting(entropy=None, **kwargs):
+        built.append(entropy)
+        return real(entropy, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    return built
+
+
 def rollout_gens(noise_cfg: NoiseConfig, env_cfg: EnvConfig, master_seed: int, index: int):
-    init_gen = (
-        derive_stream(master_seed, INIT_TAG, index).generator()
-        if noise_cfg.kind == "init-state"
-        else None
-    )
-    noise_gen = (
-        derive_stream(master_seed, NOISE_TAG, index).generator()
-        if noise_cfg.kind != "none"
-        else None
-    )
-    env_gen = (
-        derive_stream(master_seed, ENV_TAG, index).generator()
-        if env_cfg.family == "bandit"
-        else None
-    )
+    init_gen = stream_gen(master_seed, INIT_TAG, index) if noise_cfg.kind == "init-state" else None
+    noise_gen = stream_gen(master_seed, NOISE_TAG, index) if noise_cfg.kind != "none" else None
+    env_gen = stream_gen(master_seed, ENV_TAG, index) if env_cfg.family == "bandit" else None
     return init_gen, noise_gen, env_gen
 
 

@@ -2,11 +2,12 @@ import csv
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from repro_rl.cli import main
+from repro_rl.cli import ExperimentConfig, default_config, main
 from repro_rl.core import EvalRecord
 from repro_rl.metrics import DISP_ESTIMATORS, PERF_ESTIMATORS, LcbConfig, lcb
 from repro_rl.stats import PERFORMANCE
@@ -106,6 +107,16 @@ def test_print_config_is_byte_stable(capsys):
     # the config echo in every artifact is this text's dict; its bytes must not drift
     assert main(["print-config"]) == 0
     assert capsys.readouterr().out == PRINT_CONFIG
+
+
+def test_config_without_es_section_is_the_printed_default(capsys):
+    assert main(["print-config"]) == 0
+    cfg = json.loads(capsys.readouterr().out)
+    del cfg["es"]
+    assert ExperimentConfig.from_json_dict(cfg) == default_config()
+    # a present es section still fills its gaps from EsConfig's own defaults
+    partial = ExperimentConfig.from_json_dict({"es": {"popsize": 8}}).es
+    assert (partial.popsize, partial.lr, partial.generations) == (8, 0.03, 100)
 
 
 def test_interrupted_write_keeps_old_file_and_no_temp(tmp_path, monkeypatch):
@@ -263,6 +274,18 @@ def test_evaluate_numeric_failure_exits_1_naming_rollout_and_step(tmp_path, caps
     assert "step 0" in err
     assert "Traceback" not in err
     assert not (tmp_path / "eval.json").exists()
+
+
+def test_train_res_fitness_overflow_exits_1_naming_generation(tmp_path, capsys):
+    # finite returns near the float limit overflow the repro fitness's mean and std
+    cfg = write_config(tmp_path / "cfg.json", algo="res", seeds=[0],
+                       env={"name": "tradeoff-spread"}, noise={"kind": "reward", "sigma": 1e307})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["train", "--config", cfg, "--out", str(tmp_path / "runs")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: non-finite fitness at generation 0\n"
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize(

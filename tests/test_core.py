@@ -7,10 +7,13 @@ from repro_rl.core import (
     PolicyParams,
     ShapeError,
     Trajectory,
+    _seed_states,
+    _tag_words,
     derive_stream,
     param_count,
     policy_action,
     policy_forward,
+    stream_generators,
 )
 
 
@@ -178,6 +181,66 @@ def test_stream_bulk_equals_scalar_draws():
 def test_stream_negative_index_rejected():
     with pytest.raises(ValueError):
         derive_stream(0, "noise", -1)
+
+
+def numpy_generator(seed, tag, index):
+    seq = np.random.SeedSequence((seed, *_tag_words(tag), index))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def test_stream_golden_draws():
+    # the first normals of one stream, fixed: a change here changes every artifact
+    want = ["0x1.42e655d621bfcp-3", "-0x1.17237baf78b42p-3", "0x1.c9523af15181ap+0"]
+    assert [x.hex() for x in derive_stream(42, "noise", 7).generator().standard_normal(3)] == want
+    (gen,) = stream_generators([(42, 7)], "noise")
+    assert [x.hex() for x in gen.standard_normal(3)] == want
+
+
+# Every tag the package derives streams under.
+PACKAGE_TAGS = ["init", "noise", "env", "es-init", "es-gen", "es-fit", "report-ci",
+                "bootstrap-default"]
+# One, two and three 32-bit words of seed; one and two of index.
+SEEDS = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5]
+INDICES = [0, 2**32 - 1, 2**32, 2**63]
+
+
+@pytest.mark.parametrize("tag", PACKAGE_TAGS)
+def test_stream_generators_equal_seed_sequence_generators(tag):
+    # one call mixes every seed and index word count
+    keys = [(seed, i) for seed in SEEDS for i in INDICES]
+    gens = list(stream_generators(keys, tag))
+    assert len(gens) == len(keys)
+    for (seed, i), gen in zip(keys, gens):
+        want = numpy_generator(seed, tag, i).standard_normal(4)
+        assert np.array_equal(gen.standard_normal(4), want), (seed, i)
+        assert np.array_equal(derive_stream(seed, tag, i).generator().standard_normal(4), want)
+
+
+def test_stream_generators_block_and_empty():
+    keys = [(123, i) for i in range(256)]
+    for (seed, i), gen in zip(keys, stream_generators(keys, "env")):
+        assert gen.uniform(-1.0, 1.0) == numpy_generator(seed, "env", i).uniform(-1.0, 1.0)
+    assert list(stream_generators([], "env")) == []
+
+
+@pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (-(2**70), 2)])
+def test_stream_generators_reject_negative_seed_or_index(seed, index):
+    # as derive_stream's generators do, also after a valid key
+    with pytest.raises(ValueError):
+        stream_generators([(5, 0), (seed, index)], "noise")
+    with pytest.raises(ValueError):
+        derive_stream(seed, "noise", index).generator()
+
+
+@pytest.mark.parametrize("n_words", range(4, 10))
+def test_seed_states_equal_seed_sequence_state_for_any_entropy_length(n_words):
+    gen = np.random.default_rng(n_words)
+    entropy = gen.integers(0, 2**32, size=(n_words, 3), dtype=np.uint64).astype(np.uint32)
+    entropy[:, 0] = 0
+    states = _seed_states(entropy)
+    for col in range(3):
+        seq = np.random.SeedSequence(tuple(int(w) for w in entropy[:, col]))
+        assert np.array_equal(states[col], seq.generate_state(4, np.uint64)), col
 
 
 def test_trajectory_state_marginal_is_flattened_states():

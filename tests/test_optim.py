@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from repro_rl.core import NumericFailure, PolicyParams, derive_stream, policy_forward
+from reference_rollout import count_seed_sequences
+from repro_rl.core import NumericFailure, PolicyParams, _tag_words, derive_stream, policy_forward
 from repro_rl.envs import flat_mean_spread, point_mass_nav, tradeoff_spread
 from repro_rl.noise import NoiseConfig
 from repro_rl.optim import (
     FIT_TAG,
+    GEN_TAG,
     EsConfig,
     EsState,
     _es_update,
@@ -267,6 +269,15 @@ def test_es_step_numeric_failure_names_first_failing_candidate_rollout():
     assert (got.value.rollout_index, got.value.step) == (ref.value.rollout_index, ref.value.step)
     assert str(got.value) == str(ref.value)
     assert got.value.rollout_index == 24
+
+
+def test_es_step_builds_only_its_generation_seed_sequence(monkeypatch):
+    # the eval seeds and every rollout stream come from vectorised passes
+    cfg = small_cfg(popsize=8, fitness_mode="repro", n_reevals=40)
+    state = EsState(center=init_center(cfg, 4), generation=2)
+    built = count_seed_sequences(monkeypatch)
+    es_step(state, cfg, tradeoff_spread(), NoiseConfig(kind="reward"), derive_stream(4, GEN_TAG, 2))
+    assert built == [(4, *_tag_words(GEN_TAG), 2)]
 
 
 def test_fitness_repro_penalises_spread():

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from reference_rollout import reference_rollout
+from reference_rollout import count_seed_sequences, reference_rollout
 from repro_rl.core import ConstantPolicy, NumericFailure, PolicyParams, param_count
 from repro_rl.envs import flat_mean_spread, point_mass_nav, tradeoff_spread
 from repro_rl.noise import NoiseConfig
@@ -228,3 +228,15 @@ def test_eval_record_json_round_trip():
     assert np.array_equal(back.returns, rec.returns)
     assert np.array_equal(back.descriptors, rec.descriptors)
     assert np.array_equal(back.state_marginals, rec.state_marginals)
+
+
+@pytest.mark.parametrize(
+    "noise", NOISE_CASES, ids=[f"{n.kind}-{n.resample}" for n in NOISE_CASES]
+)
+def test_evaluate_builds_no_seed_sequence(monkeypatch, noise):
+    # a block's streams come from one vectorised pass, not one SeedSequence each
+    pol = random_policy(9, arch=(1, 8, 1))
+    built = count_seed_sequences(monkeypatch)
+    rec = evaluate(pol, tradeoff_spread(), noise, EvalConfig(256, 3))
+    assert rec.n_evals == 256
+    assert built == []
