@@ -260,6 +260,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
+@lru_cache(maxsize=None)
 def _hash_consts(init: int, mult: int, n: int) -> tuple:
     """The hash constant before and after each of n hashing steps, as (n, 1)
     uint32 columns."""
@@ -267,15 +268,6 @@ def _hash_consts(init: int, mult: int, n: int) -> tuple:
     for _ in range(n):
         h.append(h[-1] * mult & _MASK32)
     return np.array(h[:-1], np.uint32)[:, None], np.array(h[1:], np.uint32)[:, None]
-
-
-@lru_cache(maxsize=None)
-def _pool_consts(n_words: int) -> tuple:
-    # 4 steps fill the pool, 12 mix it, and 4 mix in each word past the pool.
-    return _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (n_words - _POOL_SIZE))
-
-
-_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 8)
 
 
 def _hashmix(value: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
@@ -292,7 +284,8 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
     """`SeedSequence(column).generate_state(4, np.uint64)` of each column of
     the (words, rows) uint32 `entropy` of at least 4 words, as (rows, 4)
     uint64."""
-    before, after = _pool_consts(len(entropy))
+    # 4 steps fill the pool, 12 mix it and 4 mix in each later word: 4 per word.
+    before, after = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy))
     pool = _hashmix(entropy[:_POOL_SIZE], before[:_POOL_SIZE], after[:_POOL_SIZE])
     k = _POOL_SIZE
     for src in range(_POOL_SIZE):
@@ -303,7 +296,8 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
         pool = _mix(pool, _hashmix(word, before[k : k + 4], after[k : k + 4]))
         k += 4
     # Eight 32-bit words from the cycled pool, paired little-endian.
-    state = _hashmix(np.concatenate([pool, pool]), *_STATE_CONSTS).astype(np.uint64)
+    state = _hashmix(np.concatenate([pool, pool]), *_hash_consts(_INIT_B, _MULT_B, 8))
+    state = state.astype(np.uint64)
     return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
 
 

@@ -11,8 +11,8 @@ The engine is batched and lockstep: a block of rollouts steps together as
 up front, in the order documented in `noise`; a block's generators of one
 tag come from one vectorised SeedSequence pass (`core.stream_generators`),
 bit for bit the ones `derive_stream` gives. The forward pass and the
-dynamics treat every row on its own and accumulate in a fixed order, so a
-rollout has the same bits at any block size, on shared or per-row
+dynamics treat every row on its own and accumulate in a fixed order, so
+a rollout has the same bits at any block size, on shared or per-row
 parameters. `evaluate`, `rollout_once` and the ES scorer run on it.
 """
 
