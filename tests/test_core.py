@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference_rollout import stream_gen
 from repro_rl.core import (
     ArchitectureError,
     ConstantPolicy,
@@ -8,7 +9,6 @@ from repro_rl.core import (
     ShapeError,
     Trajectory,
     _seed_states,
-    _tag_words,
     derive_stream,
     param_count,
     policy_action,
@@ -183,11 +183,6 @@ def test_stream_negative_index_rejected():
         derive_stream(0, "noise", -1)
 
 
-def numpy_generator(seed, tag, index):
-    seq = np.random.SeedSequence((seed, *_tag_words(tag), index))
-    return np.random.Generator(np.random.PCG64(seq))
-
-
 def test_stream_golden_draws():
     # the first normals of one stream, fixed: a change here changes every artifact
     want = ["0x1.42e655d621bfcp-3", "-0x1.17237baf78b42p-3", "0x1.c9523af15181ap+0"]
@@ -211,7 +206,7 @@ def test_stream_generators_equal_seed_sequence_generators(tag):
     gens = list(stream_generators(keys, tag))
     assert len(gens) == len(keys)
     for (seed, i), gen in zip(keys, gens):
-        want = numpy_generator(seed, tag, i).standard_normal(4)
+        want = stream_gen(seed, tag, i).standard_normal(4)
         assert np.array_equal(gen.standard_normal(4), want), (seed, i)
         assert np.array_equal(derive_stream(seed, tag, i).generator().standard_normal(4), want)
 
@@ -219,7 +214,7 @@ def test_stream_generators_equal_seed_sequence_generators(tag):
 def test_stream_generators_block_and_empty():
     keys = [(123, i) for i in range(256)]
     for (seed, i), gen in zip(keys, stream_generators(keys, "env")):
-        assert gen.uniform(-1.0, 1.0) == numpy_generator(seed, "env", i).uniform(-1.0, 1.0)
+        assert gen.uniform(-1.0, 1.0) == stream_gen(seed, "env", i).uniform(-1.0, 1.0)
     assert list(stream_generators([], "env")) == []
 
 
