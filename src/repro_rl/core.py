@@ -4,7 +4,7 @@ Randomness discipline: every consumer derives a named substream from a single
 master seed via `derive_stream`. Substreams are independent of the order in
 which they are created, so parallel evaluation cannot change results.
 `stream_generators` builds the generators of many substreams of one tag at
-once, bit for bit the ones `derive_stream(...).generator()` builds.
+once; `RngStream.generator` builds one the same way.
 """
 
 from __future__ import annotations
@@ -234,9 +234,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this substream."""
-        lo, hi = _tag_words(self.purpose_tag)
-        seq = np.random.SeedSequence((self.master_seed, lo, hi, self.index))
-        return np.random.Generator(np.random.PCG64(seq))
+        return next(stream_generators([(self.master_seed, self.index)], self.purpose_tag))
 
 
 def derive_stream(master_seed: int, purpose_tag: str, index: int) -> RngStream:
@@ -339,8 +337,9 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
 
 
 def stream_generators(keys: Sequence, tag: str) -> Iterator[np.random.Generator]:
-    """`derive_stream(seed, tag, i).generator()` for each key (seed, i), bit for
-    bit, with the SeedSequence hash of all keys run in one numpy pass.
+    """Generator of substream (seed, tag, i) for each key (seed, i): bit for bit
+    `PCG64(SeedSequence((seed, *_tag_words(tag), i)))`, with the SeedSequence
+    hash of all keys run in one numpy pass.
 
     Keys whose seed or index has a different number of 32-bit words hash in
     separate passes. No SeedSequence object is built. Each generator is built
@@ -350,8 +349,6 @@ def stream_generators(keys: Sequence, tag: str) -> Iterator[np.random.Generator]
     if not keys:
         return iter(())
     seeds, index = zip(*keys)
-    if min(index) < 0:
-        raise ValueError(f"stream index must be non-negative, got {min(index)}")
     seed_words, seed_count = _uint32_words(seeds)
     index_words, index_count = _uint32_words(index)
     tag_words = _tag_entropy(tag)

@@ -158,9 +158,11 @@ def _generation(
     Returns the new theta and the generation's history row.
     """
     thetas, eps_half = sample_population(theta, cfg, stream.generator())
-    fits = np.asarray(score(thetas), dtype=np.float64)
+    # Finite but huge returns can overflow the repro mean or spread.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fits = np.asarray(score(thetas), dtype=np.float64)
     if not np.all(np.isfinite(fits)):
-        raise ValueError(f"non-finite fitness at generation {generation}")
+        raise NumericFailure(f"non-finite fitness at generation {generation}")
     new_theta = _es_update(theta, eps_half, rank_normalize(fits), cfg)
     row = {
         "generation": generation,
@@ -192,12 +194,7 @@ def es_step(
         if cfg.fitness_mode == "plain":
             return returns[:, 0]
         w = cfg.repro_weight
-        with np.errstate(over="ignore", invalid="ignore"):
-            fits = [w * float(np.mean(r)) - (1.0 - w) * float(np.std(r, ddof=1)) for r in returns]
-        # Finite but huge returns can overflow the mean or the spread.
-        if not np.all(np.isfinite(fits)):
-            raise NumericFailure(f"non-finite fitness at generation {state.generation}")
-        return fits
+        return [w * float(np.mean(r)) - (1.0 - w) * float(np.std(r, ddof=1)) for r in returns]
 
     theta, row = _generation(state.center.theta, state.generation, cfg, stream, score)
     return EsState(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reference_rollout import count_seed_sequences
-from repro_rl.core import NumericFailure, PolicyParams, _tag_words, derive_stream, policy_forward
+from repro_rl.core import NumericFailure, PolicyParams, derive_stream, policy_forward
 from repro_rl.envs import flat_mean_spread, point_mass_nav, tradeoff_spread
 from repro_rl.noise import NoiseConfig
 from repro_rl.optim import (
@@ -192,7 +192,7 @@ def test_optimize_function_deterministic():
 
 def test_optimize_function_rejects_nonfinite_objective():
     cfg = EsConfig(popsize=4, generations=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericFailure, match="generation 0"):
         optimize_function(lambda t: float("nan"), 2, cfg, 0)
 
 
@@ -271,13 +271,13 @@ def test_es_step_numeric_failure_names_first_failing_candidate_rollout():
     assert got.value.rollout_index == 24
 
 
-def test_es_step_builds_only_its_generation_seed_sequence(monkeypatch):
-    # the eval seeds and every rollout stream come from vectorised passes
+def test_es_step_builds_no_seed_sequence(monkeypatch):
+    # its generation stream, the eval seeds and every rollout stream come from vectorised passes
     cfg = small_cfg(popsize=8, fitness_mode="repro", n_reevals=40)
     state = EsState(center=init_center(cfg, 4), generation=2)
     built = count_seed_sequences(monkeypatch)
     es_step(state, cfg, tradeoff_spread(), NoiseConfig(kind="reward"), derive_stream(4, GEN_TAG, 2))
-    assert built == [(4, *_tag_words(GEN_TAG), 2)]
+    assert built == []
 
 
 def test_fitness_repro_penalises_spread():
