@@ -52,7 +52,7 @@ from .metrics import (
 from .noise import NoiseConfig
 from .optim import EsConfig, EsState, init_center, train
 from .rollout import EvalConfig, evaluate
-from .stats import stratified_bootstrap
+from .stats import PERFORMANCE, stratified_bootstrap
 
 RUN_SCHEMA = "repro-rl-run"
 EVAL_SCHEMA = "repro-rl-eval"
@@ -418,7 +418,7 @@ def cmd_report(args) -> int:
         # One entry per training run: the mean over its eval seeds, keyed by
         # the smallest, so re-seeded evaluations do not count as more runs.
         pairs = sorted(
-            (min(evals)[0], float(np.mean([v for _, v in sorted(evals)])))
+            (min(evals)[0], float(PERFORMANCE["mean"](np.array([v for _, v in sorted(evals)]))))
             for evals in cells[key].values()
         )
         values = np.array([v for _, v in pairs])

@@ -36,10 +36,6 @@ class NumericFailure(RuntimeError):
         self.rollout_index = rollout_index
 
 
-class EpisodeFinished(RuntimeError):
-    """step() was called on an episode that already ran to completion."""
-
-
 def param_count(arch: tuple) -> int:
     """Number of parameters of a dense net with layer widths `arch`.
 
@@ -206,13 +202,6 @@ def policy_forward(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
         )
     _require_finite("obs", obs)
     return dense_forward(dense_layers(params.theta, params.arch), params.activation, obs)
-
-
-def policy_action(policy: Policy, obs: np.ndarray) -> np.ndarray:
-    """Action of either policy flavour for one observation."""
-    if isinstance(policy, ConstantPolicy):
-        return np.asarray(policy.action, dtype=np.float64).copy()
-    return policy_forward(policy, obs)
 
 
 @lru_cache(maxsize=256)

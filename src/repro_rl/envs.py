@@ -13,11 +13,11 @@ Two families:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 
-from .core import EpisodeFinished, JsonFields, ShapeError
+from .core import JsonFields, ShapeError
 
 ACTION_LOW = -1.0
 ACTION_HIGH = 1.0
@@ -107,22 +107,14 @@ BUILTIN_ENVS = {
 }
 
 
-@dataclass
-class EnvState:
-    """Mutable episode state: the state vector plus the step counter."""
-
-    vec: np.ndarray
-    timestep: int = 0
-
-
-def env_reset(cfg: EnvConfig) -> EnvState:
-    """Nominal initial state. Initial-state noise is the wrapper's job."""
+def env_reset(cfg: EnvConfig) -> np.ndarray:
+    """Nominal initial state vector. The rollout engine adds initial-state noise."""
     if cfg.family == "point-mass":
         vec = np.zeros(4, dtype=np.float64)
         vec[0], vec[1] = cfg.start
     else:
         vec = np.zeros(cfg.state_dim, dtype=np.float64)
-    return EnvState(vec=vec, timestep=0)
+    return vec
 
 
 def _check_action(cfg: EnvConfig, action: np.ndarray) -> np.ndarray:
@@ -170,22 +162,6 @@ def reward(
         return -np.sqrt(dx * dx + dy * dy)
     a = action[..., 0]
     return cfg.mean_base + cfg.mean_slope * a + cfg.spread_max * a * u
-
-
-def env_step(
-    cfg: EnvConfig, state: EnvState, action: np.ndarray, gen: np.random.Generator
-) -> Tuple[EnvState, float, bool]:
-    """Advance one step. Raises EpisodeFinished past the horizon."""
-    if state.timestep >= cfg.episode_length:
-        raise EpisodeFinished(
-            f"episode of length {cfg.episode_length} already finished"
-        )
-    action = _check_action(cfg, action)
-    u = float(gen.uniform(-1.0, 1.0)) if cfg.family == "bandit" else 0.0
-    next_vec = transition(cfg, state.vec, action)
-    r = float(reward(cfg, state.vec, action, next_vec, u))
-    next_state = EnvState(vec=next_vec, timestep=state.timestep + 1)
-    return next_state, r, next_state.timestep >= cfg.episode_length
 
 
 def descriptor_dim(cfg: EnvConfig) -> int:

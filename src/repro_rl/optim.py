@@ -27,6 +27,7 @@ from .core import derive_stream, param_count, stream_generators
 from .envs import EnvConfig
 from .noise import NoiseConfig
 from .rollout import _rollouts
+from .stats import DISPERSION, PERFORMANCE
 
 FITNESS_MODES = ("plain", "repro")
 
@@ -166,7 +167,7 @@ def _generation(
     new_theta = _es_update(theta, eps_half, rank_normalize(fits), cfg)
     row = {
         "generation": generation,
-        "fitness_mean": float(np.mean(fits)),
+        "fitness_mean": float(PERFORMANCE["mean"](fits)),
         "fitness_best": float(np.max(fits)),
         "center_norm": float(np.linalg.norm(new_theta)),
     }
@@ -194,7 +195,7 @@ def es_step(
         if cfg.fitness_mode == "plain":
             return returns[:, 0]
         w = cfg.repro_weight
-        return [w * float(np.mean(r)) - (1.0 - w) * float(np.std(r, ddof=1)) for r in returns]
+        return w * PERFORMANCE["mean"](returns) - (1 - w) * DISPERSION["std"](returns)
 
     theta, row = _generation(state.center.theta, state.generation, cfg, stream, score)
     return EsState(

@@ -107,7 +107,7 @@ def _run_block(
 
     normal = np.random.Generator.standard_normal
     state = np.empty((n, env_cfg.state_dim))
-    state[:] = env_reset(env_cfg).vec
+    state[:] = env_reset(env_cfg)
     if kind == "init-state":
         k = n_init_dims(env_cfg)
         state[:, :k] += sigma * _draw(keys, INIT_TAG, (k,), normal)

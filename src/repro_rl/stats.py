@@ -13,7 +13,7 @@ bootstrap all look them up there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Union
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -31,12 +31,12 @@ def _clean_1d(name: str, x) -> np.ndarray:
     return arr
 
 
-def _trimmed_mean(arr: np.ndarray) -> float:
+def _trimmed_mean(arr: np.ndarray) -> np.ndarray:
     # Drops the lowest and highest floor(n/4) values, so below 4 values it
     # trims nothing and is the mean.
-    n = arr.shape[0]
+    n = arr.shape[-1]
     trim = n // 4
-    return float(np.mean(np.sort(arr)[trim : n - trim]))
+    return np.mean(np.sort(arr, axis=-1)[..., trim : n - trim], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -46,28 +46,23 @@ class Quartiles:
     q3: float
 
 
-def _quartiles(arr: np.ndarray) -> Quartiles:
-    q1, q2, q3 = np.quantile(arr, [0.25, 0.5, 0.75])
-    return Quartiles(float(q1), float(q2), float(q3))
-
-
-def _iqr(arr: np.ndarray) -> float:
-    q = _quartiles(arr)
-    return q.q3 - q.q1
-
-
-# name -> estimator of a finite, non-empty 1-D float array.
-Estimator = Callable[[np.ndarray], float]
+# name -> estimator of finite float samples along the last axis: a sample
+# (n,) gives a numpy scalar, a block of samples (rows, n) one value per row,
+# each row with the bits it has alone.
+Estimator = Callable[[np.ndarray], np.ndarray]
 PERFORMANCE: Dict[str, Estimator] = {
-    "mean": lambda arr: float(np.mean(arr)),
-    "median": lambda arr: float(np.median(arr)),
+    "mean": lambda a: np.mean(a, axis=-1),
+    "median": lambda a: np.median(a, axis=-1),
     "iqm": _trimmed_mean,
 }
 DISPERSION: Dict[str, Estimator] = {
-    "mad": lambda arr: float(np.median(np.abs(arr - np.median(arr)))),
-    "iqr": _iqr,
-    "std": lambda arr: float(np.std(arr, ddof=1)),
+    "mad": lambda a: np.median(np.abs(a - np.median(a, axis=-1, keepdims=True)), axis=-1),
+    "iqr": lambda a: np.subtract(*np.quantile(a, [0.75, 0.25], axis=-1)),
+    "std": lambda a: np.std(a, axis=-1, ddof=1),
 }
+# Resampled values a bootstrap block holds at most (a block has at least one
+# resample), so its temporaries do not grow with n_resamples.
+_BLOCK_VALUES = 2**14
 # Smallest sample each public estimator accepts (default 1). The bootstrap
 # is exempt, so its IQM of fewer than 4 values is the mean.
 _MIN_VALUES = {"iqm": 4, "std": 2}
@@ -85,7 +80,7 @@ def _estimate(table: Dict[str, Estimator], what: str, kind: str, x) -> float:
     need = _MIN_VALUES.get(kind, 1)
     if arr.shape[0] < need:
         raise ValueError(f"{kind} needs at least {need} values, got {arr.shape[0]}")
-    return fn(arr)
+    return float(fn(arr))
 
 
 def performance(x, kind: str = "mean") -> float:
@@ -111,7 +106,8 @@ def mad(x) -> float:
 def quartiles(x) -> Quartiles:
     """First, second and third quartile with linear interpolation at
     position (n - 1) * p."""
-    return _quartiles(_clean_1d("x", x))
+    q1, q2, q3 = np.quantile(_clean_1d("x", x), [0.25, 0.5, 0.75])
+    return Quartiles(float(q1), float(q2), float(q3))
 
 
 def iqr(x) -> float:
@@ -139,14 +135,15 @@ def stratified_bootstrap(
     aggregate: str = "iqm",
     n_resamples: int = 2000,
     confidence: float = 0.95,
-    stream: Union[RngStream, np.random.Generator, None] = None,
+    stream: RngStream = RngStream(0, "bootstrap-default", 0),
 ) -> BootstrapCI:
     """Percentile bootstrap CI of an aggregate over stratified samples.
 
     Each stratum is resampled with replacement at its own size; the
     aggregate is computed over the concatenation of the resampled strata.
     The point estimate is the aggregate of the original pooled values.
-    Passing the same stream reproduces the interval exactly.
+    The same stream reproduces the interval exactly; the default stream
+    keeps reports byte-stable across reruns.
     """
     agg = _lookup(PERFORMANCE, "aggregate", aggregate)
     if not 0.0 < confidence < 1.0:
@@ -159,35 +156,26 @@ def stratified_bootstrap(
     if not strata:
         raise ValueError("need at least one stratum")
 
-    if stream is None:
-        gen = derive_default_bootstrap_stream().generator()
-    elif isinstance(stream, RngStream):
-        gen = stream.generator()
-    else:
-        gen = stream
-
-    point = agg(np.concatenate(strata))
-
+    pooled = np.concatenate(strata)
+    # Column j of a resample draws below its stratum's size and is offset by
+    # the stratum's start in `pooled`: drawn row by row, these are the same
+    # draws, in the same order, as one integers(0, size, size) call per stratum.
     sizes = [s.shape[0] for s in strata]
+    highs = np.repeat(sizes, sizes)
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    rows = max(1, _BLOCK_VALUES // pooled.shape[0])
+    gen = stream.generator()
     stats = np.empty(n_resamples)
-    for b in range(n_resamples):
-        parts = [s[gen.integers(0, n, size=n)] for s, n in zip(strata, sizes)]
-        stats[b] = agg(np.concatenate(parts))
+    for b in range(0, n_resamples, rows):
+        idx = gen.integers(0, highs, (min(rows, n_resamples - b), pooled.shape[0]))
+        stats[b : b + rows] = agg(pooled[idx + starts])
 
     alpha = 1.0 - confidence
     lo, hi = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
     return BootstrapCI(
-        point=point,
+        point=float(agg(pooled)),
         lo=float(lo),
         hi=float(hi),
         confidence=confidence,
         n_resamples=n_resamples,
     )
-
-
-def derive_default_bootstrap_stream() -> RngStream:
-    """Fixed stream used when no stream is supplied, keeping reports
-    byte-stable across reruns."""
-    from .core import derive_stream
-
-    return derive_stream(0, "bootstrap-default", 0)

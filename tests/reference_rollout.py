@@ -7,23 +7,24 @@ generators come straight from numpy's SeedSequence, not from the engine's
 batched stream derivation, so the comparison checks that derivation too.
 """
 
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro_rl.core import (
-    EpisodeFinished,
+    ConstantPolicy,
     NumericFailure,
+    Policy,
     PolicyParams,
     Trajectory,
     _tag_words,
-    policy_action,
+    policy_forward,
 )
 from repro_rl.envs import (
     ACTION_HIGH,
     ACTION_LOW,
     EnvConfig,
-    EnvState,
     _check_action,
     env_reset,
     reward,
@@ -31,6 +32,25 @@ from repro_rl.envs import (
 )
 from repro_rl.noise import NoiseConfig, n_init_dims
 from repro_rl.rollout import ENV_TAG, INIT_TAG, NOISE_TAG
+
+
+class EpisodeFinished(RuntimeError):
+    """A step was asked of an episode that already ran to completion."""
+
+
+@dataclass
+class EnvState:
+    """Mutable episode state: the state vector plus the step counter."""
+
+    vec: np.ndarray
+    timestep: int = 0
+
+
+def policy_action(policy: Policy, obs: np.ndarray) -> np.ndarray:
+    """Action of either policy flavour for one observation."""
+    if isinstance(policy, ConstantPolicy):
+        return np.asarray(policy.action, dtype=np.float64).copy()
+    return policy_forward(policy, obs)
 
 
 def stream_gen(master_seed: int, tag: str, index: int) -> np.random.Generator:
@@ -78,7 +98,7 @@ def wrap_reset(
     cfg: EnvConfig, noise: NoiseConfig, init_gen: np.random.Generator
 ) -> EnvState:
     """Reset with optional initial-state perturbation of the position dims."""
-    state = env_reset(cfg)
+    state = EnvState(vec=env_reset(cfg))
     if noise.kind == "init-state":
         k = n_init_dims(cfg)
         state.vec[:k] += noise.sigma * init_gen.standard_normal(k)

@@ -362,7 +362,7 @@ def test_report_counts_training_runs_not_eval_seeds(tmp_path, capsys):
     assert main(["report", str(tmp_path), "--metric", "mean"]) == 0
     (row,) = parse_csv(capsys.readouterr().out)
     assert row["n_seeds"] == "3"
-    assert row["point"] == repr(PERFORMANCE["iqm"](np.array([2.0, 15.0, 150.0])))
+    assert row["point"] == repr(float(PERFORMANCE["iqm"](np.array([2.0, 15.0, 150.0]))))
 
 
 def test_report_lcb_orders_flat_mean_spread_arms(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reference_rollout import stream_gen
+from reference_rollout import policy_action, stream_gen
 from repro_rl.core import (
     ArchitectureError,
     ConstantPolicy,
@@ -11,7 +11,6 @@ from repro_rl.core import (
     _seed_states,
     derive_stream,
     param_count,
-    policy_action,
     policy_forward,
     stream_generators,
 )

@@ -1,29 +1,28 @@
 import numpy as np
 import pytest
 
-from repro_rl.core import ConstantPolicy, EpisodeFinished, ShapeError
+from repro_rl.core import ConstantPolicy, ShapeError
 from repro_rl.envs import (
     EnvConfig,
+    _check_action,
     descriptor,
     descriptor_dim,
     env_reset,
-    env_step,
     flat_mean_spread,
     point_mass_nav,
+    reward,
     tradeoff_spread,
+    transition,
 )
 from repro_rl.noise import NoiseConfig
 from repro_rl.rollout import rollout_once
 
 
-class FixedUniform:
-    """Generator stand-in that returns a scripted uniform value."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def uniform(self, lo, hi):
-        return self.value
+def bandit_reward(cfg, action, u):
+    """Reward of the one bandit step from the reset state at env draw u."""
+    vec = env_reset(cfg)
+    action = _check_action(cfg, np.array([action]))
+    return reward(cfg, vec, action, transition(cfg, vec, action), u)
 
 
 def test_factory_fields():
@@ -58,44 +57,42 @@ def test_env_config_validation_and_round_trip():
 
 
 def test_reset_states():
-    pm_state = env_reset(point_mass_nav())
-    assert np.array_equal(pm_state.vec, np.zeros(4))
-    assert pm_state.timestep == 0
-    b_state = env_reset(flat_mean_spread())
-    assert np.array_equal(b_state.vec, np.zeros(1))
+    assert np.array_equal(env_reset(point_mass_nav()), np.zeros(4))
+    assert np.array_equal(env_reset(point_mass_nav(start=(2.0, -1.0))), [2.0, -1.0, 0.0, 0.0])
+    assert np.array_equal(env_reset(flat_mean_spread()), np.zeros(1))
 
 
 def test_point_mass_kinematics_hand_recurrence():
     # independent recurrence: v' = clip_norm(v + a*dt, v_max), p' = p + v'*dt
     cfg = point_mass_nav()
-    action = np.array([1.0, 0.0])
-    state = env_reset(cfg)
+    action = _check_action(cfg, np.array([1.0, 0.0]))
+    vec = env_reset(cfg)
     p = np.zeros(2)
     v = np.zeros(2)
     for t in range(cfg.episode_length):
-        state, r, done = env_step(cfg, state, action, None)
+        next_vec = transition(cfg, vec, action)
+        r = reward(cfg, vec, action, next_vec, 0.0)
+        vec = next_vec
         v = v + action * cfg.dt
         speed = np.linalg.norm(v)
         if speed > cfg.v_max:
             v = v * (cfg.v_max / speed)
         p = p + v * cfg.dt
-        assert np.allclose(state.vec[:2], p, atol=1e-12)
-        assert np.allclose(state.vec[2:], v, atol=1e-12)
+        assert np.allclose(vec[:2], p, atol=1e-12)
+        assert np.allclose(vec[2:], v, atol=1e-12)
         assert r == pytest.approx(-np.linalg.norm(p - np.array(cfg.goal)), abs=1e-12)
-    assert done
     # speed caps at 1 after 10 steps: x = 0.1*(0.1+...+1.0) + 90*0.1 = 9.55
-    assert state.vec[0] == pytest.approx(9.55, abs=1e-12)
-    assert state.vec[1] == 0.0
+    assert vec[0] == pytest.approx(9.55, abs=1e-12)
+    assert vec[1] == 0.0
 
 
 def test_point_mass_speed_never_exceeds_cap():
     cfg = point_mass_nav()
     gen = np.random.default_rng(0)
-    state = env_reset(cfg)
+    vec = env_reset(cfg)
     for _ in range(cfg.episode_length):
-        a = gen.uniform(-1, 1, size=2)
-        state, _, _ = env_step(cfg, state, a, None)
-        assert np.linalg.norm(state.vec[2:]) <= cfg.v_max + 1e-12
+        vec = transition(cfg, vec, _check_action(cfg, gen.uniform(-1, 1, size=2)))
+        assert np.linalg.norm(vec[2:]) <= cfg.v_max + 1e-12
 
 
 def test_point_mass_zero_action_return_closed_form():
@@ -117,43 +114,27 @@ def test_point_mass_translation_invariance():
 
 def test_bandit_reward_formula_with_scripted_uniform():
     ts = tradeoff_spread()
-    state = env_reset(ts)
-    _, r, done = env_step(ts, state, np.array([1.0]), FixedUniform(1.0))
-    assert r == 120.0 and done
-    state = env_reset(ts)
-    _, r, _ = env_step(ts, state, np.array([1.0]), FixedUniform(-1.0))
-    assert r == 20.0
-    state = env_reset(flat_mean_spread())
-    _, r, _ = env_step(flat_mean_spread(), state, np.array([1.0]), FixedUniform(0.5))
-    assert r == 85.0
+    assert ts.episode_length == 1
+    assert bandit_reward(ts, 1.0, 1.0) == 120.0
+    assert bandit_reward(ts, 1.0, -1.0) == 20.0
+    assert bandit_reward(flat_mean_spread(), 1.0, 0.5) == 85.0
 
 
 def test_bandit_zero_arm_is_noise_free():
     fm = flat_mean_spread()
     for u in [-1.0, -0.3, 0.0, 0.9]:
-        state = env_reset(fm)
-        _, r, _ = env_step(fm, state, np.array([0.0]), FixedUniform(u))
-        assert r == 60.0
-
-
-def test_step_past_horizon_raises():
-    fm = flat_mean_spread()
-    state = env_reset(fm)
-    state, _, done = env_step(fm, state, np.array([0.0]), FixedUniform(0.0))
-    assert done
-    with pytest.raises(EpisodeFinished):
-        env_step(fm, state, np.array([0.0]), FixedUniform(0.0))
+        assert bandit_reward(fm, 0.0, u) == 60.0
 
 
 def test_action_validation():
     cfg = point_mass_nav()
-    state = env_reset(cfg)
     with pytest.raises(ShapeError):
-        env_step(cfg, state, np.zeros(3), None)
+        _check_action(cfg, np.zeros(3))
     with pytest.raises(ValueError):
-        env_step(cfg, state, np.array([1.5, 0.0]), None)
+        _check_action(cfg, np.array([1.5, 0.0]))
     with pytest.raises(ValueError):
-        env_step(cfg, state, np.array([np.nan, 0.0]), None)
+        _check_action(cfg, np.array([np.nan, 0.0]))
+    assert np.array_equal(_check_action(cfg, [1.0, -1.0]), [1.0, -1.0])
 
 
 def test_descriptor_point_mass_is_final_position():

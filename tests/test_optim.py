@@ -329,3 +329,28 @@ def test_train_zero_generations_returns_init():
     assert np.array_equal(state.center.theta, init_center(cfg, 3).theta)
     assert state.generation == 0
     assert state.history == []
+
+
+# theta and mean fitness after 3 R-ES generations (criterion 08 settings,
+# seed 11), recorded from the per-candidate fitness loop the estimator-table
+# fitness replaced; theta depends on the fitness only through its ranks
+RES_THETA_HEX = (
+    "0x1.cd23b1d874b3cp-2", "-0x1.01f069acdba69p+0", "0x1.07e065292ed35p-1",
+    "-0x1.d2af89d96020ep+0", "-0x1.2634db5365a56p+0", "-0x1.3d65e240a40d5p+0",
+    "-0x1.120b6cda138b8p-4", "0x1.1812a6a997c5cp+0", "-0x1.795ff1a7c0cbep-6",
+    "-0x1.66874aec956e4p-9", "0x1.4107c6e81352cp-7", "-0x1.96669b37b1efep-6",
+    "-0x1.28c7203efee36p-7", "-0x1.1777020f8f354p-7", "-0x1.b933e6b7b5f10p-7",
+    "-0x1.5d8d8d70c4ee0p-11", "-0x1.ec14b53c9a2a2p-4", "-0x1.16befe76043cfp-4",
+    "-0x1.f4e898f0bdefap-4", "-0x1.d2d73b54204fap-2", "0x1.66430ad69b545p-1",
+    "-0x1.de0b64b6a0019p-2", "0x1.9cd5d4f691bbdp-4", "0x1.6244ba3603311p-3",
+    "0x1.ac310c34c03fap-6",
+)
+RES_FITNESS_MEAN_HEX = ["0x1.c5a10ec8159dap+4", "0x1.c464082ef5775p+4", "0x1.c10a7324e8f1ap+4"]
+
+
+def test_res_train_theta_golden():
+    cfg = EsConfig(arch=(1, 8, 1), popsize=32, sigma_es=0.1, lr=0.05, generations=3,
+                   fitness_mode="repro", n_reevals=32, repro_weight=0.5)
+    state = train(cfg, tradeoff_spread(), NoiseConfig(), 11)
+    assert tuple(t.hex() for t in state.center.theta) == RES_THETA_HEX
+    assert [row["fitness_mean"].hex() for row in state.history] == RES_FITNESS_MEAN_HEX

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from repro_rl.core import derive_stream
+from repro_rl import stats
+from repro_rl.core import RngStream, derive_stream
 from repro_rl.stats import (
+    DISPERSION,
+    PERFORMANCE,
     BootstrapCI,
     iqm,
     iqr,
@@ -47,6 +50,21 @@ def oracle_iqm(x):
     trim = len(s) // 4
     kept = s[trim : len(s) - trim]
     return sum(kept) / len(kept)
+
+
+def oracle_bootstrap(strata, aggregate, n_resamples, confidence, stream):
+    """The bootstrap one resample at a time: each stratum drawn with its own
+    integers(0, size, size) call, the aggregate taken over the pooled draw."""
+    agg = PERFORMANCE[aggregate]
+    strata = [np.asarray(s, dtype=np.float64) for s in strata]
+    gen = stream.generator()
+    values = np.empty(n_resamples)
+    for b in range(n_resamples):
+        parts = [s[gen.integers(0, len(s), size=len(s))] for s in strata]
+        values[b] = float(agg(np.concatenate(parts)))
+    alpha = 1.0 - confidence
+    lo, hi = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0])
+    return float(agg(np.concatenate(strata))), float(lo), float(hi)
 
 
 def test_hand_cases():
@@ -166,3 +184,54 @@ def test_bootstrap_validation():
         stratified_bootstrap([[1.0]], "mean", n_resamples=0)
     with pytest.raises(ValueError):
         stratified_bootstrap([[1.0]], "mean", confidence=1.0)
+
+
+def test_bootstrap_default_stream_is_fixed():
+    values = [np.arange(9.0) ** 2]
+    default = stratified_bootstrap(values, "iqm", n_resamples=300)
+    fixed = stratified_bootstrap(values, "iqm", n_resamples=300,
+                                 stream=RngStream(0, "bootstrap-default", 0))
+    assert default == fixed
+    assert (default.point, default.lo, default.hi) == oracle_bootstrap(
+        values, "iqm", 300, 0.95, RngStream(0, "bootstrap-default", 0))
+
+
+# one stratum; a size-1 stratum; three strata with odd sizes; a pooled sample
+# of more than one block, so each block holds one resample
+BOOTSTRAP_CASES = [
+    ((5,), 2000),
+    ((1, 4), 2000),
+    ((3, 6, 1), 2000),
+    ((stats._BLOCK_VALUES // 2 + 1, stats._BLOCK_VALUES // 2 + 2), 3),
+]
+
+
+@pytest.mark.parametrize("aggregate", ["mean", "median", "iqm"])
+@pytest.mark.parametrize("sizes, n_resamples", BOOTSTRAP_CASES)
+def test_bootstrap_matches_per_resample_oracle(sizes, n_resamples, aggregate):
+    pooled = sum(sizes)
+    # blocks hold one resample, or the last block is short
+    rows = max(1, stats._BLOCK_VALUES // pooled)
+    assert rows == 1 or n_resamples % rows
+    gen = np.random.default_rng(pooled)
+    strata = [np.round(gen.standard_normal(n) * 10, 1) for n in sizes]
+    stream = derive_stream(4, "ci", pooled)
+    ci = stratified_bootstrap(strata, aggregate, n_resamples, 0.9, stream)
+    assert (ci.point, ci.lo, ci.hi) == oracle_bootstrap(strata, aggregate, n_resamples, 0.9, stream)
+
+
+@pytest.mark.parametrize("table, kind, n", [
+    (table, kind, n)
+    for table in (PERFORMANCE, DISPERSION)
+    for kind in table
+    for n in [*range(1, 10), 31, 64, 257]
+    if not (kind == "std" and n < 2)
+])
+def test_estimator_on_block_equals_each_row(table, kind, n):
+    gen = np.random.default_rng(n)
+    block = gen.standard_normal((6, n)) * gen.uniform(0.1, 100)
+    block[1] = np.round(block[1])  # ties
+    block[2] = block[2, 0]  # constant row
+    got = table[kind](block)
+    assert got.shape == (6,)
+    assert np.array_equal(got, [table[kind](row) for row in block])
