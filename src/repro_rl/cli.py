@@ -422,12 +422,15 @@ def cmd_report(args) -> int:
             for evals in cells[key].values()
         )
         values = np.array([v for _, v in pairs])
-        ci = stratified_bootstrap(
-            [values],
-            aggregate="iqm",
-            n_resamples=args.n_resamples,
-            stream=derive_stream(0, "report-ci", idx),
-        )
+        try:
+            ci = stratified_bootstrap(
+                [values],
+                aggregate="iqm",
+                n_resamples=args.n_resamples,
+                stream=derive_stream(0, "report-ci", idx),
+            )
+        except MemoryError as e:
+            raise ConfigError(f"--n-resamples {args.n_resamples} does not fit in memory") from e
         rows.append(
             {
                 "env": env_id,

@@ -244,7 +244,10 @@ _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# 0-d array operands: numpy ufuncs take them faster than Python ints or scalars.
+_U16, _U32 = np.array(16, np.uint32), np.array(32, np.uint64)
+_MIX_MULT_L, _MIX_MULT_R = np.array(0xCA01F9DD, np.uint32), np.array(0x4973F715, np.uint32)
+_POOL_OTHERS = [np.delete(np.arange(_POOL_SIZE), src) for src in range(_POOL_SIZE)]
 
 
 @lru_cache(maxsize=None)
@@ -259,12 +262,12 @@ def _hash_consts(init: int, mult: int, n: int) -> tuple:
 
 def _hashmix(value: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
     value = (value ^ before) * after
-    return value ^ (value >> 16)
+    return value ^ (value >> _U16)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return out ^ (out >> 16)
+    return out ^ (out >> _U16)
 
 
 def _seed_states(entropy: np.ndarray) -> np.ndarray:
@@ -275,8 +278,7 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
     before, after = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy))
     pool = _hashmix(entropy[:_POOL_SIZE], before[:_POOL_SIZE], after[:_POOL_SIZE])
     k = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
+    for src, dst in enumerate(_POOL_OTHERS):
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], before[k : k + 3], after[k : k + 3]))
         k += 3
     for word in entropy[_POOL_SIZE:]:
@@ -285,7 +287,7 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
     # Eight 32-bit words from the cycled pool, paired little-endian.
     state = _hashmix(np.concatenate([pool, pool]), *_hash_consts(_INIT_B, _MULT_B, 8))
     state = state.astype(np.uint64)
-    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
+    return np.ascontiguousarray((state[0::2] | state[1::2] << _U32).T)
 
 
 def _uint32_words(values) -> tuple:

@@ -21,6 +21,9 @@ from .stats import DISPERSION, PERFORMANCE, _lookup, dispersion, iqr, mad, perfo
 
 PERF_ESTIMATORS = tuple(PERFORMANCE)
 DISP_ESTIMATORS = tuple(DISPERSION)
+# Differences a pairwise-distance block holds at most (at least one row): the
+# temporaries fit in L2 cache.
+_BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -107,12 +110,18 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite values")
     out = np.empty(n * (n - 1) // 2)
+    # Blocks of later points reuse one buffer; each row is still summed alone,
+    # so the bits do not depend on the block size.
+    rows = max(1, _BLOCK_VALUES // max(1, pts.shape[1]))
+    buf = np.empty((min(rows, n - 1), pts.shape[1]))
     pos = 0
     for i in range(n - 1):
-        diff = pts[i + 1 :] - pts[i]
-        m = diff.shape[0]
-        out[pos : pos + m] = np.sqrt(np.sum(diff * diff, axis=1))
-        pos += m
+        for j in range(i + 1, n, rows):
+            diff = np.subtract(pts[j : j + rows], pts[i], out=buf[: min(rows, n - j)])
+            np.multiply(diff, diff, out=diff)
+            dist = np.add.reduce(diff, axis=1, out=out[pos : pos + len(diff)])
+            np.sqrt(dist, out=dist)
+            pos += len(diff)
     return out
 
 

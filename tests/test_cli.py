@@ -2,11 +2,15 @@ import csv
 import io
 import json
 import os
+import resource
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import repro_rl
 from repro_rl.cli import ExperimentConfig, default_config, main
 from repro_rl.core import EvalRecord
 from repro_rl.metrics import DISP_ESTIMATORS, PERF_ESTIMATORS, LcbConfig, lcb
@@ -425,6 +429,29 @@ def test_report_smad_without_marginals_exits_1(tmp_path, capsys):
     path = _make_eval_artifact(tmp_path / "e.json", "p0", [1.0, 2.0])
     assert main(["report", path, "--metric", "smad"]) == 1
     assert "state marginals" in capsys.readouterr().err
+
+
+def _limit_address_space():
+    # 1 GiB: room for Python and numpy, far below 10^9 float64 statistics
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_report_n_resamples_beyond_memory_exits_2(tmp_path):
+    # a real allocation failure, so it does not depend on the host's overcommit;
+    # one BLAS thread, so BLAS buffers do not grow with the core count
+    path = _make_eval_artifact(tmp_path / "e.json", "p0", [1.0, 2.0, 3.0])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro_rl.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro_rl.cli", "report", path, "--metric", "mean",
+         "--n-resamples", "1000000000"],
+        capture_output=True, text=True, env=env, preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: --n-resamples 1000000000 ")
+    assert done.stderr.count("\n") == 1
 
 
 def test_report_missing_inputs_exit_1(tmp_path, capsys):

@@ -210,6 +210,14 @@ def test_stream_generators_equal_seed_sequence_generators(tag):
         assert np.array_equal(derive_stream(seed, tag, i).generator().standard_normal(4), want)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stream_generators_single_key_equals_seed_sequence_generator(seed):
+    # a one-column pass, as each one-off stream takes
+    for i in INDICES:
+        (gen,) = stream_generators([(seed, i)], "es-init")
+        assert np.array_equal(gen.standard_normal(4), stream_gen(seed, "es-init", i).standard_normal(4))
+
+
 def test_stream_generators_block_and_empty():
     keys = [(123, i) for i in range(256)]
     for (seed, i), gen in zip(keys, stream_generators(keys, "env")):
@@ -235,6 +243,7 @@ def test_seed_states_equal_seed_sequence_state_for_any_entropy_length(n_words):
     for col in range(3):
         seq = np.random.SeedSequence(tuple(int(w) for w in entropy[:, col]))
         assert np.array_equal(states[col], seq.generate_state(4, np.uint64)), col
+        assert np.array_equal(_seed_states(entropy[:, col : col + 1])[0], states[col]), col
 
 
 def test_trajectory_state_marginal_is_flattened_states():

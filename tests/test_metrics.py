@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro_rl import metrics
 from repro_rl.core import EvalRecord
 from repro_rl.metrics import (
     DISP_ESTIMATORS,
@@ -101,19 +104,72 @@ def test_pairwise_distances_triangle():
     assert np.array_equal(pairwise_distances(pts), np.array([3.0, 4.0, 5.0]))
 
 
-def test_pairwise_distances_matches_double_loop():
-    gen = np.random.default_rng(2)
-    for _ in range(50):
-        n = int(gen.integers(2, 30))
-        d = int(gen.integers(1, 6))
-        pts = gen.standard_normal((n, d)) * 10
-        got = pairwise_distances(pts)
-        expected = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                expected.append(np.sqrt(np.sum((pts[i] - pts[j]) ** 2)))
-        assert got.shape == (n * (n - 1) // 2,)
-        assert np.allclose(got, expected, atol=1e-12)
+def _pairwise_per_row(pts):
+    # Bit-exact oracle for the blocked version: one fresh (n-1-i, d)
+    # difference array per source row, summed with np.sum.
+    n = pts.shape[0]
+    out = np.empty(n * (n - 1) // 2)
+    pos = 0
+    for i in range(n - 1):
+        diff = pts[i + 1 :] - pts[i]
+        m = diff.shape[0]
+        out[pos : pos + m] = np.sqrt(np.sum(diff * diff, axis=1))
+        pos += m
+    return out
+
+
+@pytest.mark.parametrize("block_values", [None, 12, 400])
+def test_pairwise_distances_bit_equal_per_row_oracle(monkeypatch, block_values):
+    # widths and counts on each side of a block edge, at the module's block
+    # size and at small ones that put the edges within reach of small n
+    if block_values is not None:
+        monkeypatch.setattr(metrics, "_BLOCK_VALUES", block_values)
+    v = metrics._BLOCK_VALUES
+    gen = np.random.default_rng(8)
+    widths = {0, 1, 2, 400, v // 2 - 1, v // 2, v // 2 + 1, v - 1, v, v + 1}
+    many = {300} if block_values is None else set()
+    for d in sorted(widths):
+        rows = max(1, v // max(1, d))
+        for n in sorted({2, 3, rows - 1, rows, rows + 1, 2 * rows + 1} | many):
+            if n < 2 or n > 1000 or n * d > 2**19:
+                continue
+            # magnitudes from 1e-3 to 1e3 per point, so roundings differ
+            pts = gen.standard_normal((n, d)) * 10.0 ** gen.integers(-3, 4, (n, 1))
+            got = pairwise_distances(pts)
+            assert got.shape == (n * (n - 1) // 2,)
+            want = _pairwise_per_row(pts)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (d, n)
+
+
+@pytest.mark.parametrize("block_values", [None, 3])
+def test_pairwise_distances_row_major_pair_order(monkeypatch, block_values):
+    # point i sits at 2^i on the first axis, so pair (i, j) is 2^j - 2^i exactly
+    if block_values is not None:
+        monkeypatch.setattr(metrics, "_BLOCK_VALUES", block_values)
+    n = 9
+    pts = np.zeros((n, 2))
+    pts[:, 0] = 2.0 ** np.arange(n)
+    want = [2.0**j - 2.0**i for i in range(n) for j in range(i + 1, n)]
+    assert pairwise_distances(pts).tolist() == want
+
+
+def test_pairwise_distances_zero_width_points_are_all_zero():
+    assert np.array_equal(pairwise_distances(np.zeros((5, 0))), np.zeros(10))
+    assert behavioural_mad(np.zeros((3, 0))) == 0.0
+
+
+def test_pairwise_distances_temporaries_stay_within_a_block():
+    # N=1024 state marginals of 400 values: 4 MiB of output, and at most 1 MiB
+    # besides it for the differences
+    pts = np.random.default_rng(3).standard_normal((1024, 400))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = pairwise_distances(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2**20, peak
 
 
 def test_pairwise_distances_validation():
