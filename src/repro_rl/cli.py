@@ -168,8 +168,12 @@ def _read_json(path: str, what: str):
         raise DataError(f"{what} {path} cannot be read: {e}") from e
 
 
-def load_config(path: str) -> ExperimentConfig:
-    return ExperimentConfig.from_json_dict(_read_json(path, "config file"))
+def _run_config(args) -> ExperimentConfig:
+    """The `--config` file's config, with `--seeds` in place of its seeds when given."""
+    cfg = ExperimentConfig.from_json_dict(_read_json(args.config, "config file"))
+    if args.seeds is None:
+        return cfg
+    return dataclasses.replace(cfg, seeds=_parse_list(args.seeds, "--seeds", int))
 
 
 def _now() -> str:
@@ -200,13 +204,8 @@ def _dump_json(obj: dict, path: Optional[str]) -> None:
 
 
 def policy_to_json_dict(policy: Policy) -> dict:
-    if isinstance(policy, ConstantPolicy):
-        d = policy.to_json_dict()
-        d["kind"] = "constant"
-        return d
-    d = policy.to_json_dict()
-    d["kind"] = "mlp"
-    return d
+    kind = "constant" if isinstance(policy, ConstantPolicy) else "mlp"
+    return {**policy.to_json_dict(), "kind": kind}
 
 
 def policy_from_json_dict(d: dict) -> Policy:
@@ -219,24 +218,16 @@ def policy_from_json_dict(d: dict) -> Policy:
     raise DataError("policy JSON needs either 'theta'/'arch' or 'action'")
 
 
-def _parse_seeds(text: str) -> Tuple[int, ...]:
+def _parse_list(text: str, flag: str, cast) -> tuple:
+    """The comma-separated values of `flag`, each through `cast`; empty
+    items are skipped, and at least one value must remain."""
     try:
-        seeds = tuple(int(s) for s in text.split(",") if s.strip() != "")
+        values = tuple(cast(s) for s in text.split(",") if s.strip() != "")
     except ValueError as e:
-        raise ConfigError(f"bad --seeds value {text!r}: {e}") from e
-    if not seeds:
-        raise ConfigError("--seeds must name at least one seed")
-    return seeds
-
-
-def _parse_alphas(text: str) -> Tuple[float, ...]:
-    try:
-        alphas = tuple(float(s) for s in text.split(",") if s.strip() != "")
-    except ValueError as e:
-        raise ConfigError(f"bad --alphas value {text!r}: {e}") from e
-    if not alphas or not all(0 <= a < np.inf for a in alphas):
-        raise ConfigError("--alphas must be non-empty, finite and non-negative")
-    return alphas
+        raise ConfigError(f"bad {flag} value {text!r}: {e}") from e
+    if not values:
+        raise ConfigError(f"{flag} must name at least one value")
+    return values
 
 
 def _train_one(cfg: ExperimentConfig, seed: int) -> Tuple[Policy, int, list]:
@@ -250,9 +241,7 @@ def _train_one(cfg: ExperimentConfig, seed: int) -> Tuple[Policy, int, list]:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    if args.seeds is not None:
-        cfg = dataclasses.replace(cfg, seeds=_parse_seeds(args.seeds))
+    cfg = _run_config(args)
     for seed in cfg.seeds:
         policy, gens_run, history = _train_one(cfg, seed)
         artifact = {
@@ -288,9 +277,7 @@ def _load_policy_file(path: str) -> Tuple[Policy, str, Optional[str]]:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config)
-    if args.seeds is not None:
-        cfg = dataclasses.replace(cfg, seeds=_parse_seeds(args.seeds))
+    cfg = _run_config(args)
     policies = [_load_policy_file(path) for path in _collect_inputs([args.policy])]
     if args.policy_id is not None:
         if len(policies) > 1:
@@ -389,7 +376,9 @@ def cmd_report(args) -> int:
         raise ConfigError(
             f"unknown metric {args.metric!r}, valid: {', '.join(REPORT_METRICS)}"
         )
-    alphas = _parse_alphas(args.alphas) if args.alphas is not None else (0.0, 0.5, 1.0)
+    alphas = _parse_list(args.alphas, "--alphas", float)
+    if not all(0 <= a < np.inf for a in alphas):
+        raise ConfigError("--alphas must be finite and non-negative")
     lcb_cfg = LcbConfig(perf=args.perf_estimator, disp=args.disp_estimator)
     files = _collect_inputs(args.inputs)
 
@@ -398,15 +387,16 @@ def cmd_report(args) -> int:
     for path in files:
         record, raw = _load_eval_artifact(path)
         algo = raw.get("algo", "unknown")
-        if args.metric == "smad" and record.state_marginals is None:
-            raise DataError(
-                f"artifact {path} has no state marginals; re-run evaluate with "
-                "record_state_marginal true"
-            )
         try:
             scored = REPORT_METRICS[args.metric](record, alphas, lcb_cfg)
-        except ValueError as e:  # too few returns or descriptors for the estimator
+        except ValueError as e:  # too few values for the estimator, or no marginals
             raise DataError(f"artifact {path}: {e}") from e
+        except MemoryError as e:  # the pairwise metrics hold N(N-1)/2 distances
+            n = record.n_evals
+            raise DataError(
+                f"artifact {path}: {n * (n - 1) // 2} pairwise distances of {n} "
+                "episodes do not fit in memory"
+            ) from e
         for label, value in scored:
             key = (record.env_id, algo, _noise_label(record.noise), label)
             runs = cells.setdefault(key, {})
@@ -511,7 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="aggregate eval artifacts into a table")
     p_report.add_argument("inputs", nargs="+", help="artifact files, dirs or globs")
     p_report.add_argument("--metric", required=True, help=", ".join(REPORT_METRICS))
-    p_report.add_argument("--alphas", help="comma-separated alphas for --metric lcb")
+    p_report.add_argument(
+        "--alphas", default="0,0.5,1", help="comma-separated alphas for --metric lcb"
+    )
     p_report.add_argument("--perf-estimator", default="mean", choices=PERF_ESTIMATORS)
     p_report.add_argument("--disp-estimator", default="mad", choices=DISP_ESTIMATORS)
     p_report.add_argument("--format", default="csv", choices=("csv", "json"))
@@ -539,15 +531,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, DataError, NumericFailure, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (DataError, NumericFailure) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, (DataError, NumericFailure)) else 2
 
 
 if __name__ == "__main__":

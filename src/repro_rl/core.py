@@ -67,6 +67,7 @@ _JSON_CASTS = {
     "tuple": tuple,
     "Optional[tuple]": lambda v: None if v is None else tuple(v),
     "np.ndarray": lambda v: np.asarray(v, dtype=np.float64),
+    "Optional[np.ndarray]": lambda v: None if v is None else np.asarray(v, dtype=np.float64),
 }
 
 
@@ -91,7 +92,7 @@ class JsonFields:
 
     Tuples and arrays become lists. On load a missing key takes the field
     default, unknown keys are ignored and values are cast by annotation
-    (`int`, `float`, `tuple`, `Optional[tuple]`, `np.ndarray`).
+    (`int`, `float`, `tuple`, `np.ndarray`, the last two also `Optional`).
     """
 
     def to_json_dict(self) -> dict:
@@ -382,7 +383,7 @@ class Trajectory:
 
 
 @dataclass
-class EvalRecord:
+class EvalRecord(JsonFields):
     """Returns and behaviour descriptors of N rollouts of one policy."""
 
     policy_id: str
@@ -399,37 +400,22 @@ class EvalRecord:
         return int(self.returns.shape[0])
 
     def to_json_dict(self) -> dict:
-        d = {
-            "policy_id": self.policy_id,
-            "env": self.env_id,
-            "noise": self.noise.to_json_dict(),
-            "master_seed": int(self.master_seed),
-            "n_evals": self.n_evals,
-            "returns": [float(x) for x in self.returns],
-            "descriptors": [[float(x) for x in row] for row in self.descriptors],
-        }
-        if self.state_marginals is not None:
-            d["state_marginals"] = [
-                [float(x) for x in row] for row in self.state_marginals
-            ]
-        if self.extra:
-            d["extra"] = self.extra
+        """The fields, with `env_id` under "env" and `n_evals` added; no
+        `state_marginals` when None and no `extra` when empty."""
+        d = super().to_json_dict()
+        d["env"] = d.pop("env_id")
+        d["master_seed"] = int(self.master_seed)
+        d["n_evals"] = self.n_evals
+        if self.state_marginals is None:
+            del d["state_marginals"]
+        if not self.extra:
+            del d["extra"]
         return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EvalRecord":
         from .noise import NoiseConfig
 
-        marginals = d.get("state_marginals")
-        return cls(
-            policy_id=d["policy_id"],
-            env_id=d["env"],
-            noise=NoiseConfig.from_json_dict(d["noise"]),
-            master_seed=int(d["master_seed"]),
-            returns=np.asarray(d["returns"], dtype=np.float64),
-            descriptors=np.asarray(d["descriptors"], dtype=np.float64),
-            state_marginals=None
-            if marginals is None
-            else np.asarray(marginals, dtype=np.float64),
-            extra=d.get("extra", {}),
+        return super().from_json_dict(
+            d, env_id=d["env"], noise=NoiseConfig.from_json_dict(d["noise"])
         )

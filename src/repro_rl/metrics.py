@@ -38,16 +38,6 @@ class LcbConfig:
         _lookup(DISPERSION, "disp estimator", self.disp)
 
 
-def _lcb_values(perf: float, disp: float, alphas: Sequence[float]) -> np.ndarray:
-    """perf - alpha * disp per alpha; alpha = 0 gives perf whatever disp is."""
-    values = []
-    for a in map(float, alphas):
-        if not np.isfinite(a) or a < 0.0:
-            raise ValueError(f"alpha must be finite and >= 0, got {a}")
-        values.append(perf if a == 0.0 else perf - a * disp)
-    return np.array(values)
-
-
 def lcb(record: EvalRecord, alpha: float, cfg: LcbConfig = LcbConfig()) -> float:
     """performance - alpha * dispersion of the record's returns."""
     return float(lcb_sweep(record, [alpha], cfg)[0])
@@ -57,11 +47,17 @@ def lcb_sweep(
     record: EvalRecord, alphas: Sequence[float], cfg: LcbConfig = LcbConfig()
 ) -> np.ndarray:
     """LCB at each alpha, aligned with the input grid. Performance and
-    dispersion are computed once; dispersion only when some alpha > 0."""
+    dispersion are computed once; dispersion only when some alpha > 0, and
+    alpha = 0 gives performance whatever the dispersion is."""
     alphas = list(alphas)
     perf = performance(record.returns, cfg.perf)
     disp = dispersion(record.returns, cfg.disp) if any(alphas) else 0.0
-    return _lcb_values(perf, disp, alphas)
+    values = []
+    for a in map(float, alphas):
+        if not np.isfinite(a) or a < 0.0:
+            raise ValueError(f"alpha must be finite and >= 0, got {a}")
+        values.append(perf if a == 0.0 else perf - a * disp)
+    return np.array(values)
 
 
 @dataclass
@@ -84,7 +80,7 @@ def summarize(
 ) -> ReproSummary:
     perf = performance(record.returns, cfg.perf)
     disp = dispersion(record.returns, cfg.disp)
-    values = _lcb_values(perf, disp, alphas)
+    values = lcb_sweep(record, alphas, cfg)
     return ReproSummary(
         policy_id=record.policy_id,
         n_evals=record.n_evals,

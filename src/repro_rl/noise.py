@@ -33,10 +33,6 @@ import numpy as np
 from .core import JsonFields
 from .envs import EnvConfig
 
-KINDS = ("none", "action", "obs", "reward", "param", "init-state", "dynamics")
-
-RESAMPLE_MODES = ("per-episode", "per-step")
-
 _DEFAULT_SIGMA = {
     "none": 0.0,
     "action": 0.2,
@@ -46,6 +42,9 @@ _DEFAULT_SIGMA = {
     "init-state": 0.1,
     "dynamics": 0.01,
 }
+KINDS = tuple(_DEFAULT_SIGMA)
+
+RESAMPLE_MODES = ("per-episode", "per-step")
 
 
 def default_sigma(kind: str) -> float:
@@ -72,19 +71,13 @@ class NoiseConfig(JsonFields):
     obs_affects_reward: bool = True
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(
-                f"unknown noise kind {self.kind!r}, valid kinds: {', '.join(KINDS)}"
-            )
+        default = default_sigma(self.kind)
         if self.resample not in RESAMPLE_MODES:
             raise ValueError(
                 f"unknown resample mode {self.resample!r}, "
                 f"valid modes: {', '.join(RESAMPLE_MODES)}"
             )
-        sigma = self.sigma
-        if sigma is None:
-            sigma = default_sigma(self.kind)
-        sigma = float(sigma)
+        sigma = float(default if self.sigma is None else self.sigma)
         if not np.isfinite(sigma) or sigma < 0.0:
             raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
         if self.kind == "none" and sigma != 0.0:

@@ -454,6 +454,62 @@ def test_report_n_resamples_beyond_memory_exits_2(tmp_path):
     assert done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("metric", ["bmad", "biqr", "smad"])
+def test_report_pairwise_distances_beyond_memory_exit_1(tmp_path, metric):
+    # 20,000 episodes need 199,990,000 float64 distances (1.49 GiB), more
+    # than the 1 GiB address space; the artifact, not a flag, sets the size
+    n = 20_000
+    path = _make_eval_artifact(tmp_path / "e.json", "p0", [float(i % 7) for i in range(n)])
+    if metric == "smad":
+        _patch_artifact(path, state_marginals=[[float(i % 5)] for i in range(n)])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro_rl.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro_rl.cli", "report", path, "--metric", metric],
+        capture_output=True, text=True, env=env, preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"error: artifact {path}: ")
+    assert "199990000 pairwise distances" in done.stderr
+    assert done.stderr.count("\n") == 1
+
+
+def _flag_test_inputs(tmp_path):
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({"action": [0.5]}))
+    artifact = _make_eval_artifact(tmp_path / "e.json", "p0", [1.0, 2.0, 3.0])
+    return {"config": write_config(tmp_path / "cfg.json"), "policy": str(policy),
+            "artifact": artifact, "out": str(tmp_path / "out")}
+
+
+BAD_LIST_FLAGS = {
+    "train-seeds-empty": (["train", "--config", "{config}", "--out", "{out}", "--seeds", ","],
+                          "--seeds"),
+    "train-seeds-word": (["train", "--config", "{config}", "--out", "{out}", "--seeds", "a"],
+                         "--seeds"),
+    "evaluate-seeds-float": (["evaluate", "--config", "{config}", "--policy", "{policy}",
+                              "--out", "{out}", "--seeds", "1.5"], "--seeds"),
+    "report-alphas-empty": (["report", "{artifact}", "--metric", "lcb", "--alphas", ","],
+                            "--alphas"),
+    "report-alphas-word": (["report", "{artifact}", "--metric", "lcb", "--alphas", "x"],
+                           "--alphas"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LIST_FLAGS))
+def test_bad_list_flag_exits_2_naming_the_flag(tmp_path, capsys, case):
+    argv, flag = BAD_LIST_FLAGS[case]
+    inputs = _flag_test_inputs(tmp_path)
+    rc = main([a.format(**inputs) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
+    assert not os.path.exists(inputs["out"])
+
+
 def test_report_missing_inputs_exit_1(tmp_path, capsys):
     assert main(["report", str(tmp_path / "none_such*.json"), "--metric", "mad"]) == 1
 

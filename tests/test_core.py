@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from reference_rollout import policy_action, stream_gen
 from repro_rl.core import (
     ArchitectureError,
     ConstantPolicy,
+    EvalRecord,
     PolicyParams,
     ShapeError,
     Trajectory,
@@ -14,6 +17,7 @@ from repro_rl.core import (
     policy_forward,
     stream_generators,
 )
+from repro_rl.noise import NoiseConfig
 
 
 def test_param_count_small():
@@ -79,6 +83,49 @@ def test_constant_policy_round_trip_and_validation():
         ConstantPolicy(action=np.array([np.inf]))
     with pytest.raises(ShapeError):
         ConstantPolicy(action=np.zeros((2, 1)))
+
+
+# Eval-artifact bytes (sorted keys) of two hand-built records: the first
+# without marginals or extra, the second with both and a seed past 32 bits.
+EVAL_RECORD_GOLDEN = [
+    (
+        dict(policy_id="p0", env_id="flat-mean-spread",
+             noise=NoiseConfig(kind="reward", sigma=0.25), master_seed=np.int64(7),
+             returns=np.array([1.5, -2.0, 0.1]), descriptors=np.array([[0.5], [1.0], [0.25]])),
+        '{"descriptors": [[0.5], [1.0], [0.25]], "env": "flat-mean-spread", '
+        '"master_seed": 7, "n_evals": 3, "noise": {"kind": "reward", '
+        '"obs_affects_reward": true, "resample": "per-episode", "sigma": 0.25}, '
+        '"policy_id": "p0", "returns": [1.5, -2.0, 0.1]}',
+    ),
+    (
+        dict(policy_id="p1", env_id="point-mass-nav",
+             noise=NoiseConfig(kind="param", resample="per-step"), master_seed=np.int64(2**40),
+             returns=np.array([-3.25, 0.5]), descriptors=np.array([[0.0, 1.0], [2.0, -1.5]]),
+             state_marginals=np.array([[0.1, 0.2, 0.3], [1e-300, -0.0, 5.0]]),
+             extra={"note": "x", "sizes": [1, 2]}),
+        '{"descriptors": [[0.0, 1.0], [2.0, -1.5]], "env": "point-mass-nav", '
+        '"extra": {"note": "x", "sizes": [1, 2]}, "master_seed": 1099511627776, '
+        '"n_evals": 2, "noise": {"kind": "param", "obs_affects_reward": true, '
+        '"resample": "per-step", "sigma": 0.02}, "policy_id": "p1", '
+        '"returns": [-3.25, 0.5], "state_marginals": [[0.1, 0.2, 0.3], [1e-300, -0.0, 5.0]]}',
+    ),
+]
+
+
+@pytest.mark.parametrize("fields,golden", EVAL_RECORD_GOLDEN, ids=["plain", "marginals-extra"])
+def test_eval_record_json_bytes_and_round_trip(fields, golden):
+    rec = EvalRecord(**fields)
+    d = rec.to_json_dict()
+    assert json.dumps(d, sort_keys=True) == golden
+    assert type(d["master_seed"]) is int
+    back = EvalRecord.from_json_dict(json.loads(golden))
+    assert (back.policy_id, back.env_id, back.noise) == (rec.policy_id, rec.env_id, rec.noise)
+    assert back.master_seed == rec.master_seed and type(back.master_seed) is int
+    assert back.extra == rec.extra
+    for name in ("returns", "descriptors", "state_marginals"):
+        want, got = getattr(rec, name), getattr(back, name)
+        assert (got is None) if want is None else np.array_equal(got, want), name
+    assert json.dumps(back.to_json_dict(), sort_keys=True) == golden
 
 
 def test_forward_zero_network_outputs_zero():

@@ -99,6 +99,24 @@ def test_summarize_fields():
     assert s.lcb_by_alpha == {0.0: 3.0, 1.0: 2.0}
 
 
+@pytest.mark.parametrize("perf", PERF_ESTIMATORS)
+@pytest.mark.parametrize("disp", DISP_ESTIMATORS)
+def test_lcb_entry_points_agree_bit_for_bit(perf, disp):
+    gen = np.random.default_rng(7)
+    cfg = LcbConfig(perf, disp)
+    alphas = [0.0, 0.5, 2.0]
+    for n in (4, 5, 17, 64):
+        rec = make_record(gen.standard_normal(n) * 13 + 2)
+        sweep = lcb_sweep(rec, alphas, cfg).tolist()
+        single = [lcb(rec, a, cfg) for a in alphas]
+        by_alpha = summarize(rec, alphas, cfg).lcb_by_alpha
+        assert list(by_alpha) == alphas
+        bits = [np.float64(v).view(np.uint64) for v in sweep]
+        assert [np.float64(v).view(np.uint64) for v in single] == bits
+        assert [np.float64(v).view(np.uint64) for v in by_alpha.values()] == bits
+        assert sweep[0] == performance(rec.returns, perf)
+
+
 def test_pairwise_distances_triangle():
     pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
     assert np.array_equal(pairwise_distances(pts), np.array([3.0, 4.0, 5.0]))
