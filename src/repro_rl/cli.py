@@ -104,6 +104,8 @@ class ExperimentConfig(JsonFields):
             raise ConfigError(f"unknown algo {self.algo!r}, valid: {', '.join(ALGOS)}")
         if len(self.seeds) < 1:
             raise ConfigError("seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         if self.n_evals < 1:
             raise ConfigError(f"n_evals must be >= 1, got {self.n_evals}")
         if self.algo == "scripted" and self.constant_action is None:

@@ -3,8 +3,9 @@
 Randomness discipline: every consumer derives a named substream from a single
 master seed via `derive_stream`. Substreams are independent of the order in
 which they are created, so parallel evaluation cannot change results.
-`stream_generators` builds the generators of many substreams of one tag at
-once; `RngStream.generator` builds one the same way.
+`stream_states` derives many substreams of one tag at once; generators
+(`stream_generators`, `RngStream.generator`) and raw draws (`pcg64_raw`)
+start from its state words.
 """
 
 from __future__ import annotations
@@ -328,23 +329,18 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def stream_generators(keys: Sequence, tag: str) -> Iterator[np.random.Generator]:
-    """Generator of substream (seed, tag, i) for each key (seed, i): bit for bit
-    `PCG64(SeedSequence((seed, *_tag_words(tag), i)))`, with the SeedSequence
-    hash of all keys run in one numpy pass.
-
-    Keys whose seed or index has a different number of 32-bit words hash in
-    separate passes. No SeedSequence object is built. Each generator is built
-    when the iterator reaches it, so a caller that uses and drops them in
-    turn holds one at a time.
-    """
+def stream_states(keys: Sequence, tag: str) -> np.ndarray:
+    """(rows, 4) uint64 PCG64 state words of substream (seed, tag, i) for each
+    key (seed, i): bit for bit `SeedSequence((seed, *_tag_words(tag), i))
+    .generate_state(4, np.uint64)`, in one numpy pass per word-count group of
+    seed and index, building no SeedSequence."""
+    states = np.empty((len(keys), 4), dtype=np.uint64)
     if not keys:
-        return iter(())
+        return states
     seeds, index = zip(*keys)
     seed_words, seed_count = _uint32_words(seeds)
     index_words, index_count = _uint32_words(index)
     tag_words = _tag_entropy(tag)
-    states = np.empty((len(keys), 4), dtype=np.uint64)
     for n_seed, n_index in set(zip(seed_count.tolist(), index_count.tolist())):
         rows = np.flatnonzero((seed_count == n_seed) & (index_count == n_index))
         entropy = np.concatenate([
@@ -353,7 +349,50 @@ def stream_generators(keys: Sequence, tag: str) -> Iterator[np.random.Generator]
             index_words[:n_index, rows],
         ])
         states[rows] = _seed_states(entropy)
+    return states
+
+
+def stream_generators(keys: Sequence, tag: str) -> Iterator[np.random.Generator]:
+    """Generator `PCG64(SeedSequence((seed, *_tag_words(tag), i)))` for each key
+    (seed, i), from `stream_states`; each is built when the iterator reaches it."""
+    states = stream_states(keys, tag)
     return (np.random.Generator(np.random.PCG64(_StateWords(s))) for s in states)
+
+
+# numpy's PCG64 is a 128-bit LCG with XSL-RR output (O'Neill, 2014), here on
+# (hi, lo) uint64 word pairs so one pass steps every row of a block.
+_MULT_HI, _MULT_LO, _MULT_LO0, _MULT_LO1, _LOW32, _U1, _U58, _U63 = (
+    np.array(v, np.uint64)
+    for v in (0x2360ED051FC65DA4, 0x4385DF649FCCF645, 0x9FCCF645, 0x4385DF64, _MASK32, 1, 58, 63)
+)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo) -> tuple:
+    """state * MULT + inc mod 2^128, on (hi, lo) uint64 pairs."""
+    # The high word of lo * MULT_LO, from 32-bit limbs.
+    a0, a1 = lo & _LOW32, lo >> _U32
+    p00, p01, p10 = a0 * _MULT_LO0, a0 * _MULT_LO1, a1 * _MULT_LO0
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry = a1 * _MULT_LO1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    hi = hi * _MULT_LO + lo * _MULT_HI + carry
+    lo = lo * _MULT_LO + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
+
+
+def pcg64_raw(states: np.ndarray, n: int) -> np.ndarray:
+    """(rows, n) uint64: bit for bit `random_raw(n)` of a PCG64 seeded with each
+    row of the (rows, 4) uint64 `stream_states` words."""
+    # Words 0-1 are initstate and 2-3 initseq, high word first.
+    init_hi, init_lo, seq_hi, seq_lo = states.T
+    inc_hi, inc_lo = seq_hi << _U1 | seq_lo >> _U63, seq_lo << _U1 | _U1
+    lo = inc_lo + init_lo  # state 0 stepped is inc; add initstate, step again
+    hi, lo = _pcg_step(inc_hi + init_hi + (lo < init_lo), lo, inc_hi, inc_lo)
+    out = np.empty((len(states), n), dtype=np.uint64)
+    for k in range(n):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> _U58
+        out[:, k] = x >> rot | x << (-rot & _U63)
+    return out
 
 
 @dataclass

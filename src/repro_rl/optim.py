@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import JsonFields, NumericFailure, PolicyParams, RngStream, dense_layers
-from .core import derive_stream, param_count, stream_generators
+from .core import derive_stream, param_count, pcg64_raw, stream_states
 from .envs import EnvConfig
 from .noise import NoiseConfig
 from .rollout import _rollouts
@@ -187,7 +187,8 @@ def es_step(
     n = cfg.n_reevals if cfg.fitness_mode == "repro" else 1
     first = stream.index * cfg.popsize
     fit_keys = [(stream.master_seed, first + c) for c in range(cfg.popsize)]
-    seeds = [int(gen.integers(0, 2**63)) for gen in stream_generators(fit_keys, FIT_TAG)]
+    # Generator.integers(0, 2**63): Lemire's bound 2^63 rejects below 2^64 mod 2^63 = 0, so x >> 1.
+    seeds = (pcg64_raw(stream_states(fit_keys, FIT_TAG), 1)[:, 0] >> np.uint64(1)).tolist()
 
     def score(thetas: np.ndarray) -> Sequence[float]:
         returns = _rollouts(state.center, env_cfg, noise_cfg, seeds, n, thetas)["returns"]

@@ -8,12 +8,13 @@ that cannot shift any other stream.
 
 The engine is batched and lockstep: a block of rollouts steps together as
 (rows, ...) arrays. Each rollout's draws are taken from its own substreams
-up front, in the order documented in `noise`; a block's generators of one
-tag come from one vectorised SeedSequence pass (`core.stream_generators`),
-bit for bit the ones `derive_stream` gives. The forward pass and the
-dynamics treat every row on its own and accumulate in a fixed order, so
-a rollout has the same bits at any block size, on shared or per-row
-parameters. `evaluate`, `rollout_once` and the ES scorer run on it.
+up front, in the order documented in `noise`, from a block's state words of
+each tag (`core.stream_states`, bit for bit `derive_stream`'s streams):
+normals by generators, the bandit's uniforms with none (`core.pcg64_raw`).
+The forward pass and the dynamics treat every row on its own and accumulate
+in a fixed order, so a rollout has the same bits at any block size, on
+shared or per-row parameters. `evaluate`, `rollout_once` and the ES scorer
+run on it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from .core import (
     Trajectory,
     dense_forward,
     dense_layers,
+    pcg64_raw,
     stream_generators,
+    stream_states,
 )
 from .envs import (
     ACTION_HIGH,
@@ -68,6 +71,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.n_evals < 1:
             raise ValueError(f"n_evals must be >= 1, got {self.n_evals}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
 
 
 def _check_policy(policy: Policy, env_cfg: EnvConfig, noise_cfg: NoiseConfig) -> None:
@@ -82,11 +87,11 @@ def _check_policy(policy: Policy, env_cfg: EnvConfig, noise_cfg: NoiseConfig) ->
         )
 
 
-def _draw(keys: list, tag: str, size: tuple, draw) -> np.ndarray:
-    """One row per key (seed, i): draw(generator, size) on substream (seed, tag, i)."""
+def _normals(keys: list, tag: str, size: tuple) -> np.ndarray:
+    """One row per key (seed, i): standard normals of shape `size` from (seed, tag, i)."""
     out = np.empty((len(keys), *size))
     for r, gen in enumerate(stream_generators(keys, tag)):
-        out[r] = draw(gen, size)
+        out[r] = gen.standard_normal(size)
     return out
 
 
@@ -105,14 +110,13 @@ def _run_block(
     base = policy.theta if thetas is None and isinstance(policy, PolicyParams) else thetas
     n_params = 0 if base is None else base.shape[-1]
 
-    normal = np.random.Generator.standard_normal
     state = np.empty((n, env_cfg.state_dim))
     state[:] = env_reset(env_cfg)
     if kind == "init-state":
         k = n_init_dims(env_cfg)
-        state[:, :k] += sigma * _draw(keys, INIT_TAG, (k,), normal)
+        state[:, :k] += sigma * _normals(keys, INIT_TAG, (k,))
     shape = episode_draw_shape(noise_cfg, env_cfg, n_params)
-    eps = _draw(keys, NOISE_TAG, shape, normal) if shape is not None else None
+    eps = _normals(keys, NOISE_TAG, shape) if shape is not None else None
     if kind == "param" and eps is not None:
         base = base + sigma * eps
     step_gens = None
@@ -121,7 +125,9 @@ def _run_block(
         eps_t = np.empty((n, n_params))
     u = np.zeros((n, n_steps))
     if env_cfg.family == "bandit":
-        u = _draw(keys, ENV_TAG, (n_steps,), lambda g, size: g.uniform(-1.0, 1.0, size))
+        # Generator.uniform(-1, 1): 53 high bits of each raw word, times 2^-53.
+        raw = pcg64_raw(stream_states(keys, ENV_TAG), n_steps)
+        u = -1.0 + 2.0 * ((raw >> np.uint64(11)) * 2.0**-53)
 
     layers = None if base is None else dense_layers(base, policy.arch)
     obs = state + sigma * eps[:, 0] if kind == "obs" else state

@@ -71,6 +71,19 @@ def count_seed_sequences(monkeypatch) -> list:
     return built
 
 
+def count_generators(monkeypatch) -> list:
+    """Bit generator of every np.random.Generator built from now on."""
+    built, real = [], np.random.Generator
+
+    class Counting(real):
+        def __init__(self, bit_generator):
+            built.append(bit_generator)
+            super().__init__(bit_generator)
+
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    return built
+
+
 def rollout_gens(noise_cfg: NoiseConfig, env_cfg: EnvConfig, master_seed: int, index: int):
     init_gen = stream_gen(master_seed, INIT_TAG, index) if noise_cfg.kind == "init-state" else None
     noise_gen = stream_gen(master_seed, NOISE_TAG, index) if noise_cfg.kind != "none" else None

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import repro_rl
-from repro_rl.cli import ExperimentConfig, default_config, main
+from repro_rl.cli import ConfigError, ExperimentConfig, default_config, main
 from repro_rl.core import EvalRecord
 from repro_rl.metrics import DISP_ESTIMATORS, PERF_ESTIMATORS, LcbConfig, lcb
 from repro_rl.stats import PERFORMANCE
@@ -508,6 +509,34 @@ def test_bad_list_flag_exits_2_naming_the_flag(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert flag in err
     assert not os.path.exists(inputs["out"])
+
+
+@pytest.mark.parametrize("argv, noise", [
+    (["evaluate", "--policy", "{policy}", "--seeds", "-1"], "none"),
+    (["evaluate", "--policy", "{policy}", "--seeds", "-1"], "obs"),
+    (["train", "--seeds", "3,-1"], "none"),
+    (["train"], "none"),
+], ids=["evaluate-none", "evaluate-obs", "train", "config-file"])
+def test_negative_seed_exits_2_naming_seeds(tmp_path, capsys, argv, noise):
+    # whether or not any stream would be derived from it
+    cfg = write_config(tmp_path / "cfg.json", env={"name": "point-mass-nav"},
+                       noise={"kind": noise}, es={"popsize": 2, "generations": 1},
+                       seeds=[0] if "--seeds" in argv else [0, -2])
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({"action": [0.5, 0.5]}))
+    out = tmp_path / "out"
+    argv = [a.format(policy=policy) for a in argv] + ["--config", cfg, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seeds ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_experiment_config_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seeds"):
+        dataclasses.replace(default_config(), seeds=(0, -1))
+    with pytest.raises(ConfigError, match="seeds"):
+        ExperimentConfig.from_json_dict({"seeds": [-5]})
 
 
 def test_report_missing_inputs_exit_1(tmp_path, capsys):

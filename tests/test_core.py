@@ -12,10 +12,13 @@ from repro_rl.core import (
     ShapeError,
     Trajectory,
     _seed_states,
+    _tag_words,
     derive_stream,
     param_count,
+    pcg64_raw,
     policy_forward,
     stream_generators,
+    stream_states,
 )
 from repro_rl.noise import NoiseConfig
 
@@ -279,6 +282,52 @@ def test_stream_generators_reject_negative_seed_or_index(seed, index):
         stream_generators([(5, 0), (seed, index)], "noise")
     with pytest.raises(ValueError):
         derive_stream(seed, "noise", index).generator()
+
+
+@pytest.mark.parametrize("tag", ["env", "es-fit"])
+def test_stream_states_equal_seed_sequence_state(tag):
+    keys = [(seed, i) for seed in SEEDS for i in INDICES]
+    for (seed, i), words in zip(keys, stream_states(keys, tag)):
+        seq = np.random.SeedSequence((seed, *_tag_words(tag), i))
+        assert np.array_equal(words, seq.generate_state(4, np.uint64)), (seed, i)
+
+
+@pytest.mark.parametrize("n", [1, 3, 100])
+@pytest.mark.parametrize("tag", ["env", "es-fit"])
+def test_pcg64_raw_equals_pcg64_random_raw(tag, n):
+    # one pass over every seed and index word count
+    keys = [(seed, i) for seed in SEEDS for i in INDICES]
+    raw = pcg64_raw(stream_states(keys, tag), n)
+    assert raw.shape == (len(keys), n) and raw.dtype == np.uint64
+    for (seed, i), row in zip(keys, raw):
+        assert np.array_equal(row, stream_gen(seed, tag, i).bit_generator.random_raw(n)), (seed, i)
+
+
+@pytest.mark.parametrize("n", [1, 3, 100])
+def test_pcg64_raw_uniform_equals_generator_uniform(n):
+    # Generator.uniform(-1, 1) is -1 + 2 * (53 high bits * 2^-53), as the bandit takes it
+    keys = [(seed, i) for seed in SEEDS for i in INDICES] + [(7, i) for i in range(300)]
+    raw = pcg64_raw(stream_states(keys, "env"), n)
+    u = -1.0 + 2.0 * ((raw >> np.uint64(11)) * 2.0**-53)
+    for (seed, i), row in zip(keys, u):
+        assert np.array_equal(row, stream_gen(seed, "env", i).uniform(-1.0, 1.0, n)), (seed, i)
+
+
+def test_pcg64_raw_integers_equal_generator_integers():
+    # Generator.integers(0, 2**63) is the first raw word shifted right once, as es_step takes it
+    keys = [(seed, i) for seed in SEEDS for i in INDICES] + [(3, i) for i in range(10_000)]
+    seeds = pcg64_raw(stream_states(keys, "es-fit"), 1)[:, 0] >> np.uint64(1)
+    want = [stream_gen(seed, "es-fit", i).integers(0, 2**63) for seed, i in keys]
+    assert seeds.tolist() == want
+
+
+def test_pcg64_raw_empty_and_golden():
+    assert stream_states([], "env").shape == (0, 4)
+    assert pcg64_raw(stream_states([], "env"), 3).shape == (0, 3)
+    # the first raw words of one stream, fixed: a change here changes every bandit artifact
+    want = ["0x5e54767bc2b7e8af", "0x13615784a2fd5611", "0xdae7b9fcbfb39b92"]
+    assert [hex(x) for x in pcg64_raw(stream_states([(42, 7)], "env"), 3)[0].tolist()] == want
+    assert [hex(x) for x in stream_gen(42, "env", 7).bit_generator.random_raw(3).tolist()] == want
 
 
 @pytest.mark.parametrize("n_words", range(4, 10))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from reference_rollout import count_seed_sequences
+from reference_rollout import count_generators, count_seed_sequences
 from repro_rl.core import NumericFailure, PolicyParams, derive_stream, policy_forward
 from repro_rl.envs import flat_mean_spread, point_mass_nav, tradeoff_spread
 from repro_rl.noise import NoiseConfig
@@ -278,6 +278,15 @@ def test_es_step_builds_no_seed_sequence(monkeypatch):
     built = count_seed_sequences(monkeypatch)
     es_step(state, cfg, tradeoff_spread(), NoiseConfig(kind="reward"), derive_stream(4, GEN_TAG, 2))
     assert built == []
+
+
+def test_es_step_builds_only_its_generation_generator(monkeypatch):
+    # the eval seeds and the bandit uniforms are computed from state words
+    cfg = small_cfg(popsize=8, fitness_mode="repro", n_reevals=40)
+    state = EsState(center=init_center(cfg, 4), generation=2)
+    built = count_generators(monkeypatch)
+    es_step(state, cfg, tradeoff_spread(), NoiseConfig(), derive_stream(4, GEN_TAG, 2))
+    assert len(built) == 1
 
 
 def test_fitness_repro_penalises_spread():

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from reference_rollout import count_seed_sequences, reference_rollout
+from reference_rollout import count_generators, count_seed_sequences, reference_rollout
 from repro_rl.core import ConstantPolicy, NumericFailure, PolicyParams, param_count
 from repro_rl.envs import flat_mean_spread, point_mass_nav, tradeoff_spread
 from repro_rl.noise import NoiseConfig
@@ -20,6 +20,8 @@ def random_policy(seed=0, arch=(4, 16, 16, 2)):
 def test_eval_config_validation():
     with pytest.raises(ValueError):
         EvalConfig(n_evals=0)
+    with pytest.raises(ValueError, match="master_seed"):
+        EvalConfig(master_seed=-1)
 
 
 def test_rollout_once_is_deterministic():
@@ -238,5 +240,14 @@ def test_evaluate_builds_no_seed_sequence(monkeypatch, noise):
     pol = random_policy(9, arch=(1, 8, 1))
     built = count_seed_sequences(monkeypatch)
     rec = evaluate(pol, tradeoff_spread(), noise, EvalConfig(256, 3))
+    assert rec.n_evals == 256
+    assert built == []
+
+
+def test_bandit_evaluate_builds_no_generator(monkeypatch):
+    # the bandit's uniforms are computed from the block's state words
+    pol = random_policy(9, arch=(1, 8, 1))
+    built = count_generators(monkeypatch)
+    rec = evaluate(pol, tradeoff_spread(), NoiseConfig(), EvalConfig(256, 3))
     assert rec.n_evals == 256
     assert built == []
