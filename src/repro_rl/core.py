@@ -3,9 +3,9 @@
 Randomness discipline: every consumer derives a named substream from a single
 master seed via `derive_stream`. Substreams are independent of the order in
 which they are created, so parallel evaluation cannot change results.
-`stream_states` derives many substreams of one tag at once; generators
-(`stream_generators`, `RngStream.generator`) and raw draws (`pcg64_raw`)
-start from its state words.
+`stream_states` derives a seeds x indices grid of substreams of one tag at
+once, from a cached (seeds, tag) pool prefix; generators (`state_generator`,
+`RngStream.generator`) and raw draws (`pcg64_raw`) start from its state words.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -225,7 +225,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this substream."""
-        return next(stream_generators([(self.master_seed, self.index)], self.purpose_tag))
+        return state_generator(stream_states([self.master_seed], [self.index], self.purpose_tag)[0])
 
 
 def derive_stream(master_seed: int, purpose_tag: str, index: int) -> RngStream:
@@ -234,8 +234,8 @@ def derive_stream(master_seed: int, purpose_tag: str, index: int) -> RngStream:
     The same (master_seed, purpose_tag, index) triple always denotes the same
     stream, regardless of how many other streams were derived before it.
     """
-    if index < 0:
-        raise ValueError(f"stream index must be non-negative, got {index}")
+    if master_seed < 0 or index < 0:
+        raise ValueError(f"stream seed and index must be non-negative, got {master_seed}, {index}")
     return RngStream(int(master_seed), purpose_tag, int(index))
 
 
@@ -272,20 +272,28 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> _U16)
 
 
-def _seed_states(entropy: np.ndarray) -> np.ndarray:
-    """`SeedSequence(column).generate_state(4, np.uint64)` of each column of
-    the (words, rows) uint32 `entropy` of at least 4 words, as (rows, 4)
-    uint64."""
+def _absorb(pool: np.ndarray, words: np.ndarray, p: int) -> np.ndarray:
+    """SeedSequence's (4, rows) uint32 `pool` after it absorbs the (W, rows)
+    `words` as its entropy words p, p + 1, ...: words 0-3 fill the pool,
+    which is then mixed, and each later word is mixed in."""
     # 4 steps fill the pool, 12 mix it and 4 mix in each later word: 4 per word.
-    before, after = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy))
-    pool = _hashmix(entropy[:_POOL_SIZE], before[:_POOL_SIZE], after[:_POOL_SIZE])
-    k = _POOL_SIZE
-    for src, dst in enumerate(_POOL_OTHERS):
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], before[k : k + 3], after[k : k + 3]))
-        k += 3
-    for word in entropy[_POOL_SIZE:]:
-        pool = _mix(pool, _hashmix(word, before[k : k + 4], after[k : k + 4]))
-        k += 4
+    before, after = _hash_consts(_INIT_A, _MULT_A, 4 * (p + len(words)))
+    for word in words:
+        if p < _POOL_SIZE:
+            pool[p] = _hashmix(word, before[p], after[p])
+        else:
+            pool = _mix(pool, _hashmix(word, before[4 * p : 4 * p + 4], after[4 * p : 4 * p + 4]))
+        p += 1
+        if p == _POOL_SIZE:
+            for src, dst in enumerate(_POOL_OTHERS):
+                k = 4 + 3 * src
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], before[k : k + 3], after[k : k + 3]))
+    return pool
+
+
+def _emit_states(pool: np.ndarray) -> np.ndarray:
+    """`generate_state(4, np.uint64)` of each column of a (4, rows) pool that
+    has absorbed at least 4 words, as (rows, 4) uint64."""
     # Eight 32-bit words from the cycled pool, paired little-endian.
     state = _hashmix(np.concatenate([pool, pool]), *_hash_consts(_INIT_B, _MULT_B, 8))
     state = state.astype(np.uint64)
@@ -329,34 +337,41 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def stream_states(keys: Sequence, tag: str) -> np.ndarray:
-    """(rows, 4) uint64 PCG64 state words of substream (seed, tag, i) for each
-    key (seed, i): bit for bit `SeedSequence((seed, *_tag_words(tag), i))
-    .generate_state(4, np.uint64)`, in one numpy pass per word-count group of
-    seed and index, building no SeedSequence."""
-    states = np.empty((len(keys), 4), dtype=np.uint64)
-    if not keys:
-        return states
-    seeds, index = zip(*keys)
+def state_generator(words: np.ndarray) -> np.random.Generator:
+    """Generator `PCG64(SeedSequence(...))` of one row of `stream_states` words."""
+    return np.random.Generator(np.random.PCG64(_StateWords(words)))
+
+
+@lru_cache(maxsize=32)
+def _prefix_pools(seeds: tuple, tag: str) -> tuple:
+    """Per seed word count: (seed positions, words absorbed, the read-only
+    (4, seeds) pool after the words of each seed and then of the tag)."""
     seed_words, seed_count = _uint32_words(seeds)
-    index_words, index_count = _uint32_words(index)
     tag_words = _tag_entropy(tag)
-    for n_seed, n_index in set(zip(seed_count.tolist(), index_count.tolist())):
-        rows = np.flatnonzero((seed_count == n_seed) & (index_count == n_index))
-        entropy = np.concatenate([
-            seed_words[:n_seed, rows],
-            np.broadcast_to(tag_words, (len(tag_words), rows.size)),
-            index_words[:n_index, rows],
-        ])
-        states[rows] = _seed_states(entropy)
-    return states
+    groups = []
+    for n_seed in set(seed_count.tolist()):
+        rows = np.flatnonzero(seed_count == n_seed)
+        words = np.concatenate([seed_words[:n_seed, rows], np.repeat(tag_words, rows.size, 1)])
+        pool = _absorb(np.zeros((_POOL_SIZE, rows.size), np.uint32), words, 0)
+        pool.setflags(write=False)
+        groups.append((rows, len(words), pool))
+    return tuple(groups)
 
 
-def stream_generators(keys: Sequence, tag: str) -> Iterator[np.random.Generator]:
-    """Generator `PCG64(SeedSequence((seed, *_tag_words(tag), i)))` for each key
-    (seed, i), from `stream_states`; each is built when the iterator reaches it."""
-    states = stream_states(keys, tag)
-    return (np.random.Generator(np.random.PCG64(_StateWords(s))) for s in states)
+def stream_states(seeds: Sequence[int], index: Sequence[int], tag: str) -> np.ndarray:
+    """(len(seeds) * len(index), 4) uint64 PCG64 state words of substream (seed,
+    tag, i), seed-major: bit for bit `SeedSequence((seed, *_tag_words(tag), i))
+    .generate_state(4, np.uint64)`. The pool after the seed and tag words is
+    cached per (seeds, tag); each call absorbs the index words into it."""
+    index_words, index_count = _uint32_words(index)
+    states = np.empty((len(seeds), len(index), 4), dtype=np.uint64)
+    for rows, n_prefix, pool in _prefix_pools(tuple(seeds), tag):
+        for n_index in set(index_count.tolist()):
+            cols = np.flatnonzero(index_count == n_index)
+            words = np.tile(index_words[:n_index, cols], rows.size)
+            grid = _absorb(np.repeat(pool, cols.size, axis=1), words, n_prefix)
+            states[rows[:, None], cols] = _emit_states(grid).reshape(rows.size, cols.size, 4)
+    return states.reshape(-1, 4)
 
 
 # numpy's PCG64 is a 128-bit LCG with XSL-RR output (O'Neill, 2014), here on

@@ -186,9 +186,9 @@ def es_step(
     from stream (master, FIT_TAG, g * popsize + c), all in one engine call."""
     n = cfg.n_reevals if cfg.fitness_mode == "repro" else 1
     first = stream.index * cfg.popsize
-    fit_keys = [(stream.master_seed, first + c) for c in range(cfg.popsize)]
+    fit = stream_states([stream.master_seed], range(first, first + cfg.popsize), FIT_TAG)
     # Generator.integers(0, 2**63): Lemire's bound 2^63 rejects below 2^64 mod 2^63 = 0, so x >> 1.
-    seeds = (pcg64_raw(stream_states(fit_keys, FIT_TAG), 1)[:, 0] >> np.uint64(1)).tolist()
+    seeds = (pcg64_raw(fit, 1)[:, 0] >> np.uint64(1)).tolist()
 
     def score(thetas: np.ndarray) -> Sequence[float]:
         returns = _rollouts(state.center, env_cfg, noise_cfg, seeds, n, thetas)["returns"]

@@ -8,9 +8,10 @@ that cannot shift any other stream.
 
 The engine is batched and lockstep: a block of rollouts steps together as
 (rows, ...) arrays. Each rollout's draws are taken from its own substreams
-up front, in the order documented in `noise`, from a block's state words of
-each tag (`core.stream_states`, bit for bit `derive_stream`'s streams):
-normals by generators, the bandit's uniforms with none (`core.pcg64_raw`).
+up front, in the order documented in `noise`, from each tag's state words,
+derived once per call for all its rows (`core.stream_states`, bit for bit
+`derive_stream`'s streams): normals by generators, the bandit's uniforms
+with none (`core.pcg64_raw`).
 The forward pass and the dynamics treat every row on its own and accumulate
 in a fixed order, so a rollout has the same bits at any block size, on
 shared or per-row parameters. `evaluate`, `rollout_once` and the ES scorer
@@ -20,7 +21,8 @@ run on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .core import (
     dense_forward,
     dense_layers,
     pcg64_raw,
-    stream_generators,
+    state_generator,
     stream_states,
 )
 from .envs import (
@@ -87,11 +89,11 @@ def _check_policy(policy: Policy, env_cfg: EnvConfig, noise_cfg: NoiseConfig) ->
         )
 
 
-def _normals(keys: list, tag: str, size: tuple) -> np.ndarray:
-    """One row per key (seed, i): standard normals of shape `size` from (seed, tag, i)."""
-    out = np.empty((len(keys), *size))
-    for r, gen in enumerate(stream_generators(keys, tag)):
-        out[r] = gen.standard_normal(size)
+def _normals(states: np.ndarray, size: tuple) -> np.ndarray:
+    """One row per row of stream state words: standard normals of shape `size`."""
+    out = np.empty((len(states), *size))
+    for r, words in enumerate(states):
+        out[r] = state_generator(words).standard_normal(size)
     return out
 
 
@@ -99,13 +101,15 @@ def _run_block(
     policy: Policy,
     env_cfg: EnvConfig,
     noise_cfg: NoiseConfig,
-    keys: list,
+    states: Callable[[str], np.ndarray],
+    index: Sequence[int],
     thetas: Optional[np.ndarray] = None,
 ) -> Trajectory:
-    """Step the rollouts `keys` together, row r on thetas[r] in place of
-    `policy.theta` when given; returns their trajectories as a block."""
+    """Step rollouts together, row r on thetas[r] in place of `policy.theta`
+    when given; `states(tag)` gives the rows' stream state words of `tag` and
+    `index` their rollout indices. Returns their trajectories as a block."""
     _check_policy(policy, env_cfg, noise_cfg)
-    n, n_steps = len(keys), env_cfg.episode_length
+    n, n_steps = len(index), env_cfg.episode_length
     kind, sigma = noise_cfg.kind, noise_cfg.sigma
     base = policy.theta if thetas is None and isinstance(policy, PolicyParams) else thetas
     n_params = 0 if base is None else base.shape[-1]
@@ -114,19 +118,19 @@ def _run_block(
     state[:] = env_reset(env_cfg)
     if kind == "init-state":
         k = n_init_dims(env_cfg)
-        state[:, :k] += sigma * _normals(keys, INIT_TAG, (k,))
+        state[:, :k] += sigma * _normals(states(INIT_TAG), (k,))
     shape = episode_draw_shape(noise_cfg, env_cfg, n_params)
-    eps = _normals(keys, NOISE_TAG, shape) if shape is not None else None
+    eps = _normals(states(NOISE_TAG), shape) if shape is not None else None
     if kind == "param" and eps is not None:
         base = base + sigma * eps
     step_gens = None
     if kind == "param" and noise_cfg.resample == "per-step":
-        step_gens = list(stream_generators(keys, NOISE_TAG))
+        step_gens = [state_generator(words) for words in states(NOISE_TAG)]
         eps_t = np.empty((n, n_params))
     u = np.zeros((n, n_steps))
     if env_cfg.family == "bandit":
         # Generator.uniform(-1, 1): 53 high bits of each raw word, times 2^-53.
-        raw = pcg64_raw(stream_states(keys, ENV_TAG), n_steps)
+        raw = pcg64_raw(states(ENV_TAG), n_steps)
         u = -1.0 + 2.0 * ((raw >> np.uint64(11)) * 2.0**-53)
 
     layers = None if base is None else dense_layers(base, policy.arch)
@@ -172,11 +176,10 @@ def _run_block(
     finite[:, -1] &= np.isfinite(state).all(axis=-1)
     if not finite.all():
         row, step = np.argwhere(~finite)[0]
-        index = keys[row][1]
         raise NumericFailure(
-            f"rollout {index} hit a non-finite value at step {step}",
+            f"rollout {index[row]} hit a non-finite value at step {step}",
             step=int(step),
-            rollout_index=index,
+            rollout_index=int(index[row]),
         )
 
     return Trajectory(
@@ -201,7 +204,10 @@ def rollout_once(
     The same (policy, env_cfg, noise_cfg, master_seed, index) always yields
     the same trajectory, bit for bit the one `evaluate` records for it.
     """
-    block = _run_block(policy, env_cfg, noise_cfg, [(master_seed, index)])
+    if master_seed < 0 or index < 0:
+        raise ValueError(f"seed and index must be non-negative, got {master_seed}, {index}")
+    states = partial(stream_states, [master_seed], [index])
+    block = _run_block(policy, env_cfg, noise_cfg, states, [index])
     return Trajectory(**{f.name: getattr(block, f.name)[0] for f in fields(block)})
 
 
@@ -216,7 +222,9 @@ def _rollouts(
 ) -> dict:
     """EvalRecord's returns, descriptors and (if asked for) state marginals
     of rollouts 0..n-1 of each seed, seed-major: row r is key (seeds[r // n],
-    r % n) and runs thetas[r // n] when one theta per seed is given."""
+    r % n) and runs thetas[r // n] when one theta per seed is given. A tag's
+    state words are derived for all rows at once, when a block first needs them."""
+    tag_states = lru_cache(maxsize=None)(partial(stream_states, seeds, range(n)))
     total = len(seeds) * n
     returns = np.empty(total)
     descs = np.empty((total, descriptor_dim(env_cfg)))
@@ -224,9 +232,9 @@ def _rollouts(
     marginals = np.empty((total, width)) if record_state_marginal else None
     for start in range(0, total, BLOCK_ROWS):
         rows = np.arange(start, min(start + BLOCK_ROWS, total))
-        keys = [(seeds[r // n], r % n) for r in rows.tolist()]
         block = _run_block(
-            policy, env_cfg, noise_cfg, keys, None if thetas is None else thetas[rows // n]
+            policy, env_cfg, noise_cfg, lambda tag: tag_states(tag)[rows], rows % n,
+            None if thetas is None else thetas[rows // n],
         )
         returns[rows] = block.episode_return
         descs[rows] = descriptor(env_cfg, block)
@@ -245,7 +253,8 @@ def evaluate(
 ) -> EvalRecord:
     """Run n_evals rollouts and assemble the evaluation record.
 
-    Rollouts run in blocks of BLOCK_ROWS on the calling thread. `jobs` is
+    Rollouts run in blocks of BLOCK_ROWS on the calling thread, from stream
+    state words derived once per tag for all n_evals rollouts. `jobs` is
     accepted for compatibility and changes neither results nor speed.
     """
     return EvalRecord(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reference_rollout import policy_action, stream_gen
+from repro_rl import core
 from repro_rl.core import (
     ArchitectureError,
     ConstantPolicy,
@@ -11,13 +12,15 @@ from repro_rl.core import (
     PolicyParams,
     ShapeError,
     Trajectory,
-    _seed_states,
+    _absorb,
+    _emit_states,
+    _tag_entropy,
     _tag_words,
     derive_stream,
     param_count,
     pcg64_raw,
     policy_forward,
-    stream_generators,
+    state_generator,
     stream_states,
 )
 from repro_rl.noise import NoiseConfig
@@ -227,16 +230,18 @@ def test_stream_bulk_equals_scalar_draws():
     assert np.array_equal(bulk, scalar)
 
 
-def test_stream_negative_index_rejected():
-    with pytest.raises(ValueError):
-        derive_stream(0, "noise", -1)
+@pytest.mark.parametrize("seed, index", [(0, -1), (-1, 0), (-(2**70), 2)])
+def test_stream_negative_seed_or_index_rejected(seed, index):
+    # before any stream is drawn
+    with pytest.raises(ValueError, match="non-negative"):
+        derive_stream(seed, "noise", index)
 
 
 def test_stream_golden_draws():
     # the first normals of one stream, fixed: a change here changes every artifact
     want = ["0x1.42e655d621bfcp-3", "-0x1.17237baf78b42p-3", "0x1.c9523af15181ap+0"]
     assert [x.hex() for x in derive_stream(42, "noise", 7).generator().standard_normal(3)] == want
-    (gen,) = stream_generators([(42, 7)], "noise")
+    gen = state_generator(stream_states([42], [7], "noise")[0])
     assert [x.hex() for x in gen.standard_normal(3)] == want
 
 
@@ -246,68 +251,111 @@ PACKAGE_TAGS = ["init", "noise", "env", "es-init", "es-gen", "es-fit", "report-c
 # One, two and three 32-bit words of seed; one and two of index.
 SEEDS = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5]
 INDICES = [0, 2**32 - 1, 2**32, 2**63]
+# The keys of stream_states(SEEDS, INDICES, tag), seed-major.
+GRID = [(seed, i) for seed in SEEDS for i in INDICES]
+
+
+def test_every_package_tag_contributes_four_words():
+    for tag in PACKAGE_TAGS:
+        assert len(_tag_entropy(tag)) == 4, tag
 
 
 @pytest.mark.parametrize("tag", PACKAGE_TAGS)
-def test_stream_generators_equal_seed_sequence_generators(tag):
+def test_stream_state_generators_equal_seed_sequence_generators(tag):
     # one call mixes every seed and index word count
-    keys = [(seed, i) for seed in SEEDS for i in INDICES]
-    gens = list(stream_generators(keys, tag))
-    assert len(gens) == len(keys)
-    for (seed, i), gen in zip(keys, gens):
+    states = stream_states(SEEDS, INDICES, tag)
+    assert states.shape == (len(GRID), 4)
+    for (seed, i), words in zip(GRID, states):
         want = stream_gen(seed, tag, i).standard_normal(4)
-        assert np.array_equal(gen.standard_normal(4), want), (seed, i)
+        assert np.array_equal(state_generator(words).standard_normal(4), want), (seed, i)
         assert np.array_equal(derive_stream(seed, tag, i).generator().standard_normal(4), want)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_stream_generators_single_key_equals_seed_sequence_generator(seed):
-    # a one-column pass, as each one-off stream takes
+def test_stream_state_single_key_generator_equals_seed_sequence_generator(seed):
+    # a one-seed, one-index call, as each one-off stream takes
     for i in INDICES:
-        (gen,) = stream_generators([(seed, i)], "es-init")
+        gen = state_generator(stream_states([seed], [i], "es-init")[0])
         assert np.array_equal(gen.standard_normal(4), stream_gen(seed, "es-init", i).standard_normal(4))
 
 
-def test_stream_generators_block_and_empty():
-    keys = [(123, i) for i in range(256)]
-    for (seed, i), gen in zip(keys, stream_generators(keys, "env")):
-        assert gen.uniform(-1.0, 1.0) == stream_gen(seed, "env", i).uniform(-1.0, 1.0)
-    assert list(stream_generators([], "env")) == []
+def test_stream_state_generators_block_and_empty():
+    for i, words in enumerate(stream_states([123], range(256), "env")):
+        assert state_generator(words).uniform(-1.0, 1.0) == stream_gen(123, "env", i).uniform(-1.0, 1.0)
+    assert stream_states([], [0, 1], "env").shape == (0, 4)
+    assert stream_states([1, 2], [], "env").shape == (0, 4)
 
 
 @pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (-(2**70), 2)])
-def test_stream_generators_reject_negative_seed_or_index(seed, index):
-    # as derive_stream's generators do, also after a valid key
+def test_stream_states_reject_negative_seed_or_index(seed, index):
+    # as derive_stream does, also after a valid seed and index
     with pytest.raises(ValueError):
-        stream_generators([(5, 0), (seed, index)], "noise")
+        stream_states([5, seed], [0, index], "noise")
     with pytest.raises(ValueError):
         derive_stream(seed, "noise", index).generator()
 
 
 @pytest.mark.parametrize("tag", ["env", "es-fit"])
 def test_stream_states_equal_seed_sequence_state(tag):
-    keys = [(seed, i) for seed in SEEDS for i in INDICES]
-    for (seed, i), words in zip(keys, stream_states(keys, tag)):
+    for (seed, i), words in zip(GRID, stream_states(SEEDS, INDICES, tag)):
         seq = np.random.SeedSequence((seed, *_tag_words(tag), i))
         assert np.array_equal(words, seq.generate_state(4, np.uint64)), (seed, i)
+
+
+def test_stream_states_seed_major_grid_of_any_order():
+    # repeated and unsorted seeds and indices, each key where the grid puts it
+    seeds, index = [2**40, 3, 2**40, 0], [9, 2**33, 0, 9]
+    states = stream_states(seeds, index, "noise")
+    for r, (seed, i) in enumerate((seed, i) for seed in seeds for i in index):
+        seq = np.random.SeedSequence((seed, *_tag_words("noise"), i))
+        assert np.array_equal(states[r], seq.generate_state(4, np.uint64)), (seed, i)
+
+
+def test_stream_states_when_seed_and_tag_fill_less_than_the_pool(monkeypatch):
+    # A tag whose two hash words are each below 2^32 gives 2 SeedSequence
+    # words; with a 1-word seed the index word completes the 4-word pool.
+    lo, hi = 0x1234, 0xFFFFFFFF
+    real = core._tag_words
+    monkeypatch.setattr(core, "_tag_words", lambda tag: (lo, hi) if tag == "short" else real(tag))
+    core._tag_entropy.cache_clear()
+    core._prefix_pools.cache_clear()
+    try:
+        assert len(core._tag_entropy("short")) == 2
+        seeds, index = [0, 7, 2**32 - 1, 2**32 + 3], [0, 5, 2**32 - 1, 2**32, 2**63]
+        states = stream_states(seeds, index, "short")
+        for r, (seed, i) in enumerate((seed, i) for seed in seeds for i in index):
+            seq = np.random.SeedSequence((seed, lo, hi, i))
+            assert np.array_equal(states[r], seq.generate_state(4, np.uint64)), (seed, i)
+    finally:
+        monkeypatch.undo()
+        core._tag_entropy.cache_clear()
+        core._prefix_pools.cache_clear()
+
+
+def test_mutating_returned_states_leaves_later_calls_unchanged():
+    want = stream_states([7, 2**40], [0, 3], "env").copy()
+    stream_states([7, 2**40], [0, 3], "env")[:] = 0
+    assert np.array_equal(stream_states([7, 2**40], [0, 3], "env"), want)
+    for _, _, pool in core._prefix_pools((7, 2**40), "env"):
+        assert not pool.flags.writeable
 
 
 @pytest.mark.parametrize("n", [1, 3, 100])
 @pytest.mark.parametrize("tag", ["env", "es-fit"])
 def test_pcg64_raw_equals_pcg64_random_raw(tag, n):
     # one pass over every seed and index word count
-    keys = [(seed, i) for seed in SEEDS for i in INDICES]
-    raw = pcg64_raw(stream_states(keys, tag), n)
-    assert raw.shape == (len(keys), n) and raw.dtype == np.uint64
-    for (seed, i), row in zip(keys, raw):
+    raw = pcg64_raw(stream_states(SEEDS, INDICES, tag), n)
+    assert raw.shape == (len(GRID), n) and raw.dtype == np.uint64
+    for (seed, i), row in zip(GRID, raw):
         assert np.array_equal(row, stream_gen(seed, tag, i).bit_generator.random_raw(n)), (seed, i)
 
 
 @pytest.mark.parametrize("n", [1, 3, 100])
 def test_pcg64_raw_uniform_equals_generator_uniform(n):
     # Generator.uniform(-1, 1) is -1 + 2 * (53 high bits * 2^-53), as the bandit takes it
-    keys = [(seed, i) for seed in SEEDS for i in INDICES] + [(7, i) for i in range(300)]
-    raw = pcg64_raw(stream_states(keys, "env"), n)
+    keys = GRID + [(7, i) for i in range(300)]
+    states = np.concatenate([stream_states(SEEDS, INDICES, "env"), stream_states([7], range(300), "env")])
+    raw = pcg64_raw(states, n)
     u = -1.0 + 2.0 * ((raw >> np.uint64(11)) * 2.0**-53)
     for (seed, i), row in zip(keys, u):
         assert np.array_equal(row, stream_gen(seed, "env", i).uniform(-1.0, 1.0, n)), (seed, i)
@@ -315,31 +363,37 @@ def test_pcg64_raw_uniform_equals_generator_uniform(n):
 
 def test_pcg64_raw_integers_equal_generator_integers():
     # Generator.integers(0, 2**63) is the first raw word shifted right once, as es_step takes it
-    keys = [(seed, i) for seed in SEEDS for i in INDICES] + [(3, i) for i in range(10_000)]
-    seeds = pcg64_raw(stream_states(keys, "es-fit"), 1)[:, 0] >> np.uint64(1)
+    keys = GRID + [(3, i) for i in range(10_000)]
+    states = np.concatenate([stream_states(SEEDS, INDICES, "es-fit"), stream_states([3], range(10_000), "es-fit")])
+    seeds = pcg64_raw(states, 1)[:, 0] >> np.uint64(1)
     want = [stream_gen(seed, "es-fit", i).integers(0, 2**63) for seed, i in keys]
     assert seeds.tolist() == want
 
 
 def test_pcg64_raw_empty_and_golden():
-    assert stream_states([], "env").shape == (0, 4)
-    assert pcg64_raw(stream_states([], "env"), 3).shape == (0, 3)
+    assert stream_states([], [], "env").shape == (0, 4)
+    assert pcg64_raw(stream_states([], [], "env"), 3).shape == (0, 3)
     # the first raw words of one stream, fixed: a change here changes every bandit artifact
     want = ["0x5e54767bc2b7e8af", "0x13615784a2fd5611", "0xdae7b9fcbfb39b92"]
-    assert [hex(x) for x in pcg64_raw(stream_states([(42, 7)], "env"), 3)[0].tolist()] == want
+    assert [hex(x) for x in pcg64_raw(stream_states([42], [7], "env"), 3)[0].tolist()] == want
     assert [hex(x) for x in stream_gen(42, "env", 7).bit_generator.random_raw(3).tolist()] == want
 
 
 @pytest.mark.parametrize("n_words", range(4, 10))
-def test_seed_states_equal_seed_sequence_state_for_any_entropy_length(n_words):
+def test_absorb_equals_seed_sequence_state_for_any_entropy_length_and_split(n_words):
     gen = np.random.default_rng(n_words)
     entropy = gen.integers(0, 2**32, size=(n_words, 3), dtype=np.uint64).astype(np.uint32)
     entropy[:, 0] = 0
-    states = _seed_states(entropy)
+    states = _emit_states(_absorb(np.zeros((4, 3), np.uint32), entropy, 0))
     for col in range(3):
         seq = np.random.SeedSequence(tuple(int(w) for w in entropy[:, col]))
         assert np.array_equal(states[col], seq.generate_state(4, np.uint64)), col
-        assert np.array_equal(_seed_states(entropy[:, col : col + 1])[0], states[col]), col
+        one = _absorb(np.zeros((4, 1), np.uint32), entropy[:, col : col + 1], 0)
+        assert np.array_equal(_emit_states(one)[0], states[col]), col
+    # a prefix absorbed first, the rest after, as stream_states splits them
+    for split in range(n_words + 1):
+        pool = _absorb(np.zeros((4, 3), np.uint32), entropy[:split], 0)
+        assert np.array_equal(_emit_states(_absorb(pool, entropy[split:], split)), states), split
 
 
 def test_trajectory_state_marginal_is_flattened_states():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reference_rollout import count_generators, count_seed_sequences
+from repro_rl import core, optim, rollout
 from repro_rl.core import NumericFailure, PolicyParams, derive_stream, policy_forward
 from repro_rl.envs import flat_mean_spread, point_mass_nav, tradeoff_spread
 from repro_rl.noise import NoiseConfig
@@ -21,7 +22,7 @@ from repro_rl.optim import (
     sample_population,
     train,
 )
-from repro_rl.rollout import BLOCK_ROWS, EvalConfig, evaluate
+from repro_rl.rollout import BLOCK_ROWS, ENV_TAG, EvalConfig, evaluate
 
 
 def small_cfg(**kw):
@@ -363,3 +364,29 @@ def test_res_train_theta_golden():
     state = train(cfg, tradeoff_spread(), NoiseConfig(), 11)
     assert tuple(t.hex() for t in state.center.theta) == RES_THETA_HEX
     assert [row["fitness_mean"].hex() for row in state.history] == RES_FITNESS_MEAN_HEX
+
+
+def test_res_es_step_derives_each_tag_once_and_reuses_master_prefixes(monkeypatch):
+    cfg = small_cfg(fitness_mode="repro", popsize=20, n_reevals=32)
+    assert cfg.popsize * cfg.n_reevals > 2 * BLOCK_ROWS
+    calls, real = [], core.stream_states
+
+    def counting(seeds, index, tag):
+        calls.append(tag)
+        return real(seeds, index, tag)
+
+    monkeypatch.setattr(rollout, "stream_states", counting)
+    monkeypatch.setattr(optim, "stream_states", counting)
+    # the (seeds, tag) pool prefixes computed, by tag
+    prefixes, real_entropy = [], core._tag_entropy
+    monkeypatch.setattr(core, "_tag_entropy", lambda tag: prefixes.append(tag) or real_entropy(tag))
+    core._prefix_pools.cache_clear()
+    state = EsState(center=init_center(cfg, 3))
+    state = es_step(state, cfg, tradeoff_spread(), NoiseConfig(), derive_stream(3, GEN_TAG, 0))
+    # one call per tag for all blocks of the generation
+    assert sorted(calls) == sorted([ENV_TAG, FIT_TAG])
+    assert set(prefixes) == {ENV_TAG, FIT_TAG, GEN_TAG, "es-init"}
+    prefixes.clear()
+    es_step(state, cfg, tradeoff_spread(), NoiseConfig(), derive_stream(3, GEN_TAG, 1))
+    # only the new generation's eval seeds need a new prefix
+    assert prefixes == [ENV_TAG]

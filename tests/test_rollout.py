@@ -251,3 +251,12 @@ def test_bandit_evaluate_builds_no_generator(monkeypatch):
     rec = evaluate(pol, tradeoff_spread(), NoiseConfig(), EvalConfig(256, 3))
     assert rec.n_evals == 256
     assert built == []
+
+
+@pytest.mark.parametrize("env", [point_mass_nav(), tradeoff_spread()])
+@pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1)])
+def test_rollout_once_rejects_negative_seed_or_index(env, seed, index):
+    # also where the rollout would draw no stream (point-mass without noise)
+    pol = ConstantPolicy([0.5] * env.action_dim)
+    with pytest.raises(ValueError, match="non-negative"):
+        rollout_once(pol, env, NoiseConfig(), seed, index)
