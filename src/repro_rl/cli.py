@@ -22,6 +22,7 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -41,18 +42,16 @@ from .metrics import (
     PERF_ESTIMATORS,
     LcbConfig,
     ParetoPoint,
-    behavioural_iqr,
-    behavioural_mad,
-    dispersion,
-    lcb_sweep,
+    lcb_values,
+    pairwise_distances,
     pareto_front,
-    performance,
-    state_marginal_repro,
+    require_points,
+    state_marginals,
 )
 from .noise import NoiseConfig
 from .optim import EsConfig, EsState, init_center, train
 from .rollout import EvalConfig, evaluate
-from .stats import PERFORMANCE, stratified_bootstrap
+from .stats import DISPERSION, PERFORMANCE, require_values, stratified_bootstrap
 
 RUN_SCHEMA = "repro-rl-run"
 EVAL_SCHEMA = "repro-rl-eval"
@@ -67,15 +66,23 @@ _CONFIG_CASTS = {
     "constant_action": lambda v: None if v is None else tuple(float(x) for x in v),
 }
 
-# report metric -> (record, alphas, lcb_cfg) -> [(row label, value)]
+_RETURNS, _ESTIMATORS = attrgetter("returns"), {**PERFORMANCE, **DISPERSION}
+# report metric -> (array it reads from a record, check that n values suffice,
+# scorer of a (rows, n) block or (rows, n, d) stack -> [(label, value per row)])
 REPORT_METRICS = {
-    **{k: lambda r, al, c, k=k: [(k, performance(r.returns, k))] for k in PERF_ESTIMATORS},
-    **{k: lambda r, al, c, k=k: [(k, dispersion(r.returns, k))] for k in DISP_ESTIMATORS},
-    "lcb": lambda r, al, c: [(f"lcb[alpha={a:g}]", v) for a, v in zip(al, lcb_sweep(r, al, c))],
-    "bmad": lambda r, al, c: [("bmad", behavioural_mad(r.descriptors))],
-    "biqr": lambda r, al, c: [("biqr", behavioural_iqr(r.descriptors))],
-    "smad": lambda r, al, c: [("smad", state_marginal_repro(r))],
+    **{k: (_RETURNS, lambda al, c, n, k=k: require_values(k, n),
+           lambda al, c, b, k=k: [(k, _ESTIMATORS[k](b))]) for k in _ESTIMATORS},
+    "lcb": (_RETURNS,
+            lambda al, c, n: [require_values(k, n) for k in (c.perf, c.disp)[: 1 + any(al)]],
+            lambda al, c, b: list(zip([f"lcb[alpha={a:g}]" for a in al], lcb_values(
+                PERFORMANCE[c.perf](b), DISPERSION[c.disp](b) if any(al) else 0.0, al)))),
+    **{k: (read, lambda al, c, n: require_points(n),
+           lambda al, c, b, k=k, d=d: [(k, DISPERSION[d](pairwise_distances(b)))])
+       for k, read, d in [("bmad", attrgetter("descriptors"), "mad"),
+                          ("biqr", attrgetter("descriptors"), "iqr"),
+                          ("smad", state_marginals, "mad")]},
 }
+_GROUP_VALUES = 2**16  # values, pairwise distances included, `_score_artifacts` buffers
 
 
 class ConfigError(Exception):
@@ -331,7 +338,7 @@ def _collect_inputs(paths: List[str]) -> List[str]:
     return files
 
 
-def _load_eval_artifact(path: str) -> Tuple[EvalRecord, dict]:
+def _load_eval_artifact(path: str) -> Tuple[EvalRecord, str]:
     raw = _read_json(path, "artifact")
     if not isinstance(raw, dict) or raw.get("schema") != EVAL_SCHEMA:
         raise DataError(f"artifact {path} is not an evaluation artifact ({EVAL_SCHEMA})")
@@ -351,24 +358,70 @@ def _load_eval_artifact(path: str) -> Tuple[EvalRecord, dict]:
                 f"artifact {path}: {name} must be {n} rows of finite numbers, "
                 f"got shape {rows.shape}"
             )
-    return record, raw
+    return record, raw.get("algo", "unknown")
 
 
 def _noise_label(noise: NoiseConfig) -> str:
-    if noise.kind == "none":
-        return "none"
-    return f"{noise.kind}:{noise.sigma:g}"
+    """`kind:sigma` (sigma by `:g`) or `none`, and a [suffix] naming a sigma `:g`
+    rounds and a resample or obs_affects_reward other than the default."""
+    label = "none" if noise.kind == "none" else f"{noise.kind}:{noise.sigma:g}"
+    extra = [f"sigma={noise.sigma!r}"] * (float(f"{noise.sigma:g}") != noise.sigma) + [
+        f"{k}={str(getattr(noise, k)).lower()}" for k in ("resample", "obs_affects_reward")
+        if getattr(noise, k) != getattr(NoiseConfig, k)]
+    return f"{label}[{';'.join(extra)}]" if extra else label
 
 
-def _write_rows(rows: List[dict], header: List[str], fmt: str, out: Optional[str]) -> None:
+def _stacked(arrays: list, score) -> list:
+    """[(label, value)] of each array, in input order, from one `score` call
+    per array shape: `score` gives [(label, one value per array)] of a stack."""
+    out = [None] * len(arrays)
+    for shape in dict.fromkeys(a.shape for a in arrays):
+        rows = [i for i, a in enumerate(arrays) if a.shape == shape]
+        scored = score(np.stack([arrays[i] for i in rows]))
+        for r, i in enumerate(rows):
+            out[i] = [(label, float(values[r])) for label, values in scored]
+    return out
+
+
+def _score_artifacts(files: List[str], read, check, score) -> list:
+    """((env, algo, noise label), policy_id, master_seed, [(label, value)]) of
+    each eval artifact, in input order. Each is loaded and checked in turn,
+    keeping only the array `read` takes; the arrays are scored by `_stacked`
+    once they, with 2-D arrays' pairwise distances, reach _GROUP_VALUES values."""
+    metas, pending, scored, size = [], [], [], 0
+    for i, path in enumerate(files):
+        record, algo = _load_eval_artifact(path)
+        try:
+            values = read(record)
+            check(len(values))
+        except ValueError as e:  # too few values for the estimator, or no marginals
+            raise DataError(f"artifact {path}: {e}") from e
+        metas.append(((record.env_id, algo, _noise_label(record.noise)), record.policy_id,
+                      record.master_seed))
+        pending.append(values)
+        n = len(values)
+        size += values.size + n * (n - 1) // 2 * (values.ndim == 2)
+        if size >= _GROUP_VALUES or i == len(files) - 1:
+            try:
+                scored += _stacked(pending, score)
+            except MemoryError as e:  # the pairwise metrics hold N(N-1)/2 distances
+                raise DataError(
+                    f"artifact {path}: {n * (n - 1) // 2} pairwise distances of {n} "
+                    "episodes do not fit in memory"
+                ) from e
+            pending, size = [], 0
+    return [(*meta, values) for meta, values in zip(metas, scored)]
+
+
+def _write_rows(rows: List[tuple], header: List[str], fmt: str, out: Optional[str]) -> None:
+    rows = [dict(zip(header, row)) for row in rows]
     if fmt == "json":
         text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         text = buf.getvalue()
     _write_text(text, out)
 
@@ -382,86 +435,48 @@ def cmd_report(args) -> int:
     if not all(0 <= a < np.inf for a in alphas):
         raise ConfigError("--alphas must be finite and non-negative")
     lcb_cfg = LcbConfig(perf=args.perf_estimator, disp=args.disp_estimator)
+    read, check, score = REPORT_METRICS[args.metric]
     files = _collect_inputs(args.inputs)
+    scored = _score_artifacts(files, read, lambda n: check(alphas, lcb_cfg, n),
+                              lambda b: score(alphas, lcb_cfg, b))
 
     # cells: (env, algo, noise_label, metric_label) -> policy_id -> [(eval seed, value)]
     cells: dict = {}
-    for path in files:
-        record, raw = _load_eval_artifact(path)
-        algo = raw.get("algo", "unknown")
-        try:
-            scored = REPORT_METRICS[args.metric](record, alphas, lcb_cfg)
-        except ValueError as e:  # too few values for the estimator, or no marginals
-            raise DataError(f"artifact {path}: {e}") from e
-        except MemoryError as e:  # the pairwise metrics hold N(N-1)/2 distances
-            n = record.n_evals
-            raise DataError(
-                f"artifact {path}: {n * (n - 1) // 2} pairwise distances of {n} "
-                "episodes do not fit in memory"
-            ) from e
-        for label, value in scored:
-            key = (record.env_id, algo, _noise_label(record.noise), label)
-            runs = cells.setdefault(key, {})
-            runs.setdefault(record.policy_id, []).append((record.master_seed, value))
+    for cell, policy_id, seed, values in scored:
+        for label, value in values:
+            cells.setdefault((*cell, label), {}).setdefault(policy_id, []).append((seed, value))
 
+    # Rows and bootstrap streams follow the cell keys with noise-label suffixes
+    # cut (the keys before suffixes existed), then the suffixed cells, so a cell
+    # at default noise settings keeps its bytes whatever else the inputs hold.
+    bases = sorted({(*k[:2], k[2].split("[")[0], k[3]) for k in cells})
+    rank = {k: i for i, k in enumerate(bases + sorted(k for k in cells if "[" in k[2]))}
     rows = []
-    for idx, key in enumerate(sorted(cells)):
-        env_id, algo, noise_label, metric_label = key
-        # One entry per training run: the mean over its eval seeds, keyed by
-        # the smallest, so re-seeded evaluations do not count as more runs.
-        pairs = sorted(
-            (min(evals)[0], float(PERFORMANCE["mean"](np.array([v for _, v in sorted(evals)]))))
-            for evals in cells[key].values()
-        )
-        values = np.array([v for _, v in pairs])
+    for key in sorted(cells, key=rank.get):
+        idx = rank[key]
+        # One entry per training run: the mean over its eval seeds (one block per
+        # count), keyed by the smallest, so re-seeded evaluations are not runs.
+        runs = [sorted(evals) for evals in cells[key].values()]
+        means = _stacked([np.array([v for _, v in e]) for e in runs],
+                         lambda b: [("mean", PERFORMANCE["mean"](b))])
+        values = np.array([m for _, m in sorted((e[0][0], m) for e, [(_, m)] in zip(runs, means))])
         try:
-            ci = stratified_bootstrap(
-                [values],
-                aggregate="iqm",
-                n_resamples=args.n_resamples,
-                stream=derive_stream(0, "report-ci", idx),
-            )
+            ci = stratified_bootstrap([values], aggregate="iqm", n_resamples=args.n_resamples,
+                                      stream=derive_stream(0, "report-ci", idx))
         except MemoryError as e:
             raise ConfigError(f"--n-resamples {args.n_resamples} does not fit in memory") from e
-        rows.append(
-            {
-                "env": env_id,
-                "algo": algo,
-                "noise": noise_label,
-                "metric": metric_label,
-                "n_seeds": len(values),
-                "point": repr(ci.point),
-                "ci_lo": repr(ci.lo),
-                "ci_hi": repr(ci.hi),
-            }
-        )
+        rows.append((*key, len(values), repr(ci.point), repr(ci.lo), repr(ci.hi)))
     header = ["env", "algo", "noise", "metric", "n_seeds", "point", "ci_lo", "ci_hi"]
     _write_rows(rows, header, args.format, args.out)
     return 0
 
 
 def cmd_pareto(args) -> int:
-    files = _collect_inputs(args.inputs)
-    points = []
-    for path in files:
-        record, _ = _load_eval_artifact(path)
-        points.append(
-            ParetoPoint(
-                policy_id=record.policy_id,
-                perf=performance(record.returns, "mean"),
-                repro=-dispersion(record.returns, "mad"),
-            )
-        )
-    flags = pareto_front(points)
-    rows = [
-        {
-            "policy_id": p.policy_id,
-            "expected_return": repr(p.perf),
-            "neg_mad": repr(p.repro),
-            "on_front": "true" if flag else "false",
-        }
-        for p, flag in zip(points, flags)
-    ]
+    scored = _score_artifacts(_collect_inputs(args.inputs), _RETURNS, lambda n: None, lambda b: [
+        ("perf", PERFORMANCE["mean"](b)), ("repro", -DISPERSION["mad"](b))])
+    points = [ParetoPoint(pid, perf, repro) for _, pid, _, [(_, perf), (_, repro)] in scored]
+    rows = [(p.policy_id, repr(p.perf), repr(p.repro), str(flag).lower())
+            for p, flag in zip(points, pareto_front(points))]
     header = ["policy_id", "expected_return", "neg_mad", "on_front"]
     _write_rows(rows, header, args.format, args.out)
     return 0

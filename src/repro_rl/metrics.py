@@ -11,6 +11,7 @@ between rollout descriptors instead of returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -47,11 +48,16 @@ def lcb_sweep(
     record: EvalRecord, alphas: Sequence[float], cfg: LcbConfig = LcbConfig()
 ) -> np.ndarray:
     """LCB at each alpha, aligned with the input grid. Performance and
-    dispersion are computed once; dispersion only when some alpha > 0, and
-    alpha = 0 gives performance whatever the dispersion is."""
+    dispersion are computed once; dispersion only when some alpha > 0."""
     alphas = list(alphas)
     perf = performance(record.returns, cfg.perf)
     disp = dispersion(record.returns, cfg.disp) if any(alphas) else 0.0
+    return lcb_values(perf, disp, alphas)
+
+
+def lcb_values(perf, disp, alphas: Sequence[float]) -> np.ndarray:
+    """LCB per alpha (first axis) of perf and disp estimates, scalars or arrays:
+    perf where alpha = 0, whatever disp is, else perf - alpha * disp."""
     values = []
     for a in map(float, alphas):
         if not np.isfinite(a) or a < 0.0:
@@ -80,7 +86,7 @@ def summarize(
 ) -> ReproSummary:
     perf = performance(record.returns, cfg.perf)
     disp = dispersion(record.returns, cfg.disp)
-    values = lcb_sweep(record, alphas, cfg)
+    values = lcb_values(perf, disp, alphas)
     return ReproSummary(
         policy_id=record.policy_id,
         n_evals=record.n_evals,
@@ -93,32 +99,39 @@ def summarize(
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Condensed Euclidean distances over all unordered pairs (i < j).
-
-    Returns n * (n - 1) / 2 values in row-major pair order. Needs n >= 2.
+    """Condensed Euclidean distances over all unordered pairs (i < j) of each
+    (n, d) slice of a (..., n, d) stack: (..., n * (n - 1) / 2) values in
+    row-major pair order, each slice with the bits it has alone. Needs n >= 2.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError(f"points must be 2-D, got shape {pts.shape}")
-    n = pts.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 points, got {n}")
+    if pts.ndim < 2:
+        raise ValueError(f"points must be at least 2-D, got shape {pts.shape}")
+    *stack, n, d = pts.shape
+    require_points(n)
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite values")
-    out = np.empty(n * (n - 1) // 2)
-    # Blocks of later points reuse one buffer; each row is still summed alone,
-    # so the bits do not depend on the block size.
-    rows = max(1, _BLOCK_VALUES // max(1, pts.shape[1]))
-    buf = np.empty((min(rows, n - 1), pts.shape[1]))
+    out = np.empty((*stack, n * (n - 1) // 2))
+    # Points and pairs on the first axis (a no-op for one set of points).
+    # Blocks of later points, rows x stack x d values, reuse one buffer; each
+    # row is still summed alone, so the bits do not depend on the block size.
+    pts, pairs = pts.swapaxes(0, -2), out.swapaxes(0, -1)
+    rows = max(1, _BLOCK_VALUES // max(1, math.prod(stack) * d))
+    buf = np.empty((min(rows, n - 1), *pts.shape[1:]))
     pos = 0
     for i in range(n - 1):
         for j in range(i + 1, n, rows):
             diff = np.subtract(pts[j : j + rows], pts[i], out=buf[: min(rows, n - j)])
             np.multiply(diff, diff, out=diff)
-            dist = np.add.reduce(diff, axis=1, out=out[pos : pos + len(diff)])
+            dist = np.add.reduce(diff, axis=-1, out=pairs[pos : pos + len(diff)])
             np.sqrt(dist, out=dist)
             pos += len(diff)
     return out
+
+
+def require_points(n: int) -> None:
+    """Raise ValueError when n points have no pair."""
+    if n < 2:
+        raise ValueError(f"need at least 2 points, got {n}")
 
 
 def behavioural_mad(descriptors: np.ndarray) -> float:
@@ -132,14 +145,19 @@ def behavioural_iqr(descriptors: np.ndarray) -> float:
     return iqr(pairwise_distances(descriptors))
 
 
-def state_marginal_repro(record: EvalRecord) -> float:
-    """Behavioural MAD over the flattened visited-state sequences."""
+def state_marginals(record: EvalRecord) -> np.ndarray:
+    """The record's flattened visited-state sequences, one row per rollout."""
     if record.state_marginals is None:
         raise ValueError(
             f"record {record.policy_id!r} has no state marginals; evaluate "
             "with record_state_marginal enabled"
         )
-    return behavioural_mad(record.state_marginals)
+    return record.state_marginals
+
+
+def state_marginal_repro(record: EvalRecord) -> float:
+    """Behavioural MAD over the flattened visited-state sequences."""
+    return behavioural_mad(state_marginals(record))
 
 
 @dataclass(frozen=True)

@@ -74,12 +74,17 @@ def _lookup(table: Dict[str, Estimator], what: str, kind: str) -> Estimator:
     return table[kind]
 
 
+def require_values(kind: str, n: int) -> None:
+    """Raise ValueError when estimator `kind` needs more than n values."""
+    need = _MIN_VALUES.get(kind, 1)
+    if n < need:
+        raise ValueError(f"{kind} needs at least {need} values, got {n}")
+
+
 def _estimate(table: Dict[str, Estimator], what: str, kind: str, x) -> float:
     fn = _lookup(table, what, kind)
     arr = _clean_1d("x", x)
-    need = _MIN_VALUES.get(kind, 1)
-    if arr.shape[0] < need:
-        raise ValueError(f"{kind} needs at least {need} values, got {arr.shape[0]}")
+    require_values(kind, arr.shape[0])
     return float(fn(arr))
 
 
@@ -160,8 +165,9 @@ def stratified_bootstrap(
     # Column j of a resample draws below its stratum's size and is offset by
     # the stratum's start in `pooled`: drawn row by row, these are the same
     # draws, in the same order, as one integers(0, size, size) call per stratum.
+    # Equal sizes draw below one scalar bound, the same bits at less cost.
     sizes = [s.shape[0] for s in strata]
-    highs = np.repeat(sizes, sizes)
+    highs = sizes[0] if len(set(sizes)) == 1 else np.repeat(sizes, sizes)
     starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
     rows = max(1, _BLOCK_VALUES // pooled.shape[0])
     gen = stream.generator()

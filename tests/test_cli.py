@@ -12,10 +12,24 @@ import numpy as np
 import pytest
 
 import repro_rl
+from repro_rl import cli
 from repro_rl.cli import ConfigError, ExperimentConfig, default_config, main
-from repro_rl.core import EvalRecord
-from repro_rl.metrics import DISP_ESTIMATORS, PERF_ESTIMATORS, LcbConfig, lcb
-from repro_rl.stats import PERFORMANCE
+from repro_rl.core import EvalRecord, derive_stream
+from repro_rl.metrics import (
+    DISP_ESTIMATORS,
+    PERF_ESTIMATORS,
+    LcbConfig,
+    ParetoPoint,
+    behavioural_iqr,
+    behavioural_mad,
+    dispersion,
+    lcb,
+    lcb_sweep,
+    pareto_front,
+    performance,
+    state_marginal_repro,
+)
+from repro_rl.stats import PERFORMANCE, stratified_bootstrap
 
 TINY_CONFIG = {
     "env": {"name": "flat-mean-spread"},
@@ -746,3 +760,237 @@ def test_readme_cli_quickstart(tmp_path, capsys, monkeypatch):
     assert main(["pareto", "evals/", "--out", "front.csv"]) == 0
     front = parse_csv((tmp_path / "front.csv").read_text())
     assert sorted(r["policy_id"] for r in front) == ["es-seed0"] * 2 + ["es-seed1"] * 2
+
+
+def _noisy_artifact(path, policy_id, returns, noise, seed=0):
+    path = _make_eval_artifact(path, policy_id, returns, seed=seed)
+    _patch_artifact(path, noise=dict(read_json(path)["noise"], **noise))
+    return path
+
+
+def test_report_keys_cells_by_full_noise_config(tmp_path, capsys):
+    # five single-artifact cells that a kind:sigma label alone would merge into two
+    noises = [
+        {"kind": "param", "sigma": 0.02},
+        {"kind": "param", "sigma": 0.02, "resample": "per-step"},
+        {"kind": "obs", "sigma": 0.1},
+        {"kind": "obs", "sigma": 0.1000001},
+        {"kind": "obs", "sigma": 0.1, "obs_affects_reward": False},
+    ]
+    paths = [_noisy_artifact(tmp_path / f"e{i}.json", "p0", [float(i), i + 2.0], noise)
+             for i, noise in enumerate(noises)]
+    assert main(["report", *paths, "--metric", "mean"]) == 0
+    rows = parse_csv(capsys.readouterr().out)
+    # labels a suffix extends follow every plain label
+    assert [(r["noise"], r["n_seeds"], r["point"]) for r in rows] == [
+        ("obs:0.1", "1", "3.0"),
+        ("param:0.02", "1", "1.0"),
+        ("obs:0.1[obs_affects_reward=false]", "1", "5.0"),
+        ("obs:0.1[sigma=0.1000001]", "1", "4.0"),
+        ("param:0.02[resample=per-step]", "1", "2.0"),
+    ]
+
+
+def test_report_rows_at_default_noise_keep_their_bytes(tmp_path, capsys):
+    # Default-setting cells read as they did when labels dropped resample:
+    # beside a suffixed cell of the same kind:sigma (dynamics), and after a
+    # kind:sigma that only suffixed artifacts have (obs), which used to take
+    # a row and a bootstrap stream of its own. Suffixed rows come last.
+    gen = np.random.default_rng(11)
+    paths = []
+    for kind, modes in [("action", ["per-episode"]), ("dynamics", ["per-episode", "per-step"]),
+                        ("obs", ["per-step"]), ("reward", ["per-episode"])]:
+        for mode in modes:
+            for p in range(5):
+                paths.append(_noisy_artifact(
+                    tmp_path / f"{kind}_{mode}_{p}.json", f"p{p}", list(gen.normal(0.0, 1.0, 8)),
+                    {"kind": kind, "sigma": 0.2, "resample": mode}))
+    assert main(["report", *paths, "--metric", "iqm", "--n-resamples", "200"]) == 0
+    got = parse_csv(capsys.readouterr().out)
+    want = {r["noise"]: r for r in parse_csv(_reference_report(paths, "iqm", n_resamples=200))}
+    assert [r["noise"] for r in got] == [
+        "action:0.2", "dynamics:0.2", "reward:0.2",
+        "dynamics:0.2[resample=per-step]", "obs:0.2[resample=per-step]",
+    ]
+    assert got[0] == want["action:0.2"] and got[2] == want["reward:0.2"]
+    # the merged cell is split; the obs cell keeps its point under a new label
+    assert got[1]["point"] != want["dynamics:0.2"]["point"]
+    obs = want["obs:0.2"]
+    assert (got[4]["n_seeds"], got[4]["point"]) == (obs["n_seeds"], obs["point"])
+
+
+# The per-artifact report path that came before blocked scoring, restated as
+# the reference: one validated library call per artifact, one
+# PERFORMANCE["mean"] call per training run, labels without suffixes.
+def _reference_scores(record, metric, alphas, cfg):
+    if metric in PERF_ESTIMATORS:
+        return [(metric, performance(record.returns, metric))]
+    if metric in DISP_ESTIMATORS:
+        return [(metric, dispersion(record.returns, metric))]
+    if metric == "lcb":
+        return [(f"lcb[alpha={a:g}]", v) for a, v in zip(alphas, lcb_sweep(record, alphas, cfg))]
+    if metric == "smad":
+        return [("smad", state_marginal_repro(record))]
+    stat = {"bmad": behavioural_mad, "biqr": behavioural_iqr}[metric]
+    return [(metric, stat(record.descriptors))]
+
+
+def _reference_report(files, metric, alphas=(0.0,), cfg=LcbConfig(), n_resamples=2000, fmt="csv"):
+    cells = {}
+    for path in files:
+        raw = read_json(path)
+        record = EvalRecord.from_json_dict(raw)
+        kind, sigma = record.noise.kind, record.noise.sigma
+        noise = "none" if kind == "none" else f"{kind}:{sigma:g}"
+        for label, value in _reference_scores(record, metric, list(alphas), cfg):
+            runs = cells.setdefault((record.env_id, raw["algo"], noise, label), {})
+            runs.setdefault(record.policy_id, []).append((record.master_seed, value))
+    header = ["env", "algo", "noise", "metric", "n_seeds", "point", "ci_lo", "ci_hi"]
+    rows = []
+    for idx, key in enumerate(sorted(cells)):
+        pairs = sorted(
+            (min(evals)[0], float(PERFORMANCE["mean"](np.array([v for _, v in sorted(evals)]))))
+            for evals in cells[key].values()
+        )
+        values = np.array([v for _, v in pairs])
+        ci = stratified_bootstrap([values], "iqm", n_resamples,
+                                  stream=derive_stream(0, "report-ci", idx))
+        rows.append(dict(zip(header, [*key, len(values), repr(ci.point), repr(ci.lo),
+                                      repr(ci.hi)])))
+    return _table_text(rows, header, fmt)
+
+
+def _reference_pareto(files):
+    points = []
+    for path in files:
+        record = EvalRecord.from_json_dict(read_json(path))
+        points.append(ParetoPoint(record.policy_id, performance(record.returns, "mean"),
+                                  -dispersion(record.returns, "mad")))
+    header = ["policy_id", "expected_return", "neg_mad", "on_front"]
+    rows = [dict(zip(header, [p.policy_id, repr(p.perf), repr(p.repro), "true" if f else "false"]))
+            for p, f in zip(points, pareto_front(points))]
+    return _table_text(rows, header, "csv")
+
+
+def _table_text(rows, header, fmt):
+    if fmt == "json":
+        return json.dumps(rows, sort_keys=True, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _mixed_artifacts(tmp_path):
+    """{path: (n, has marginals)} over two algos and two noise kinds: n in {1,
+    2, 3, 4, 5, 16, 64}, policies with 1-3 eval seeds (in input order from
+    the largest), marginals on some artifacts only."""
+    gen = np.random.default_rng(21)
+    sizes = [1, 2, 3, 4, 5, 16, 64]
+    out, k = {}, 0
+    for algo in ("a", "b"):
+        for kind in ("none", "obs"):
+            for p in range(6):
+                for seed in range(1 + p % 3):
+                    n = sizes[k % len(sizes)]
+                    k += 1
+                    path = _make_eval_artifact(
+                        tmp_path / f"{algo}_{kind}_p{p}_s{seed}.json", f"p{p}",
+                        list(np.round(gen.normal(10.0, 3.0, n), 1 + k % 3)), seed=9 - seed,
+                        algo=algo)
+                    fields = {"noise": {"kind": kind, "sigma": 0.0 if kind == "none" else 0.05,
+                                        "resample": "per-episode", "obs_affects_reward": True},
+                              "descriptors": gen.standard_normal((n, 1 + k % 3)).tolist()}
+                    if k % 2:
+                        fields["state_marginals"] = gen.standard_normal((n, 7)).tolist()
+                    _patch_artifact(path, **fields)
+                    out[path] = (n, k % 2 == 1)
+    return out
+
+
+@pytest.mark.parametrize("group_values", [None, 50])
+def test_report_and_pareto_equal_per_artifact_path(tmp_path, capsys, monkeypatch, group_values):
+    # with a small group cap every command scores in several flushes
+    if group_values is not None:
+        monkeypatch.setattr(cli, "_GROUP_VALUES", group_values)
+    arts = _mixed_artifacts(tmp_path)
+
+    def files(need, marginals=False):
+        return [p for p, (n, m) in arts.items() if n >= need and (m or not marginals)]
+
+    runs = [(metric, files({"iqm": 4, "std": 2}.get(metric, 1)), {})
+            for metric in (*PERF_ESTIMATORS, *DISP_ESTIMATORS)]
+    runs += [(m, files(2, marginals=m == "smad"), {}) for m in ("bmad", "biqr", "smad")]
+    runs += [("lcb", files(max({"iqm": 4}.get(p, 1), {"std": 2}.get(d, 1))),
+              {"alphas": "0,0.5,2", "perf": p, "disp": d})
+             for p in PERF_ESTIMATORS for d in DISP_ESTIMATORS]
+    # alpha 0 alone never computes the dispersion, so std takes 1-return artifacts
+    runs.append(("lcb", files(1), {"alphas": "0", "perf": "mean", "disp": "std"}))
+    runs.append(("iqm", files(4), {"fmt": "json"}))
+    for metric, paths, opts in runs:
+        assert any(arts[p][0] == 64 for p in paths) and len(paths) > 10
+        alphas = opts.get("alphas", "0,0.5,1")
+        cfg = LcbConfig(opts.get("perf", "mean"), opts.get("disp", "mad"))
+        fmt = opts.get("fmt", "csv")
+        assert main(["report", *paths, "--metric", metric, "--alphas", alphas,
+                     "--perf-estimator", cfg.perf, "--disp-estimator", cfg.disp,
+                     "--format", fmt, "--n-resamples", "300"]) == 0
+        want = _reference_report(paths, metric, [float(a) for a in alphas.split(",")], cfg,
+                                 300, fmt)
+        assert capsys.readouterr().out == want, (metric, opts)
+    assert main(["pareto", *arts]) == 0
+    assert capsys.readouterr().out == _reference_pareto(list(arts))
+
+
+@pytest.mark.parametrize("perf, disp, alphas, need", [
+    ("mean", "std", "0,1", "std needs at least 2 values, got 1"),
+    ("iqm", "std", "0,1", "iqm needs at least 4 values, got 1"),
+    ("iqm", "mad", "0", "iqm needs at least 4 values, got 1"),
+])
+def test_report_lcb_checks_each_estimator_it_computes(tmp_path, capsys, perf, disp, alphas, need):
+    path = _make_eval_artifact(tmp_path / "e.json", "p0", [1.0])
+    assert main(["report", path, "--metric", "lcb", "--alphas", alphas,
+                 "--perf-estimator", perf, "--disp-estimator", disp]) == 1
+    assert capsys.readouterr().err == f"error: artifact {path}: {need}\n"
+
+
+@pytest.mark.parametrize("metric, short", [
+    ("iqm", dict(returns=[1.0, 2.0], descriptors=[[1.0], [2.0]])),
+    ("bmad", dict(returns=[1.0], descriptors=[[1.0]])),
+    ("smad", dict(state_marginals=None)),
+])
+def test_report_names_first_bad_artifact_in_input_order(tmp_path, capsys, metric, short):
+    # a sample too small for the metric and a malformed artifact: whichever
+    # comes first in the input is the one reported
+    good = _make_eval_artifact(tmp_path / "good.json", "p0", [1.0, 2.0, 3.0, 4.0])
+    _patch_artifact(good, state_marginals=[[0.0], [1.0], [2.0], [3.0]])
+    small = _make_eval_artifact(tmp_path / "small.json", "p1", [1.0, 2.0, 3.0, 4.0])
+    _patch_artifact(small, **{k: v for k, v in short.items() if v is not None})
+    bad = _make_eval_artifact(tmp_path / "bad.json", "p2", [1.0, 2.0, 3.0])
+    _patch_artifact(bad, returns=[1.0, float("nan"), 3.0])
+    for first, second in [(small, bad), (bad, small)]:
+        rc = main(["report", good, first, second, "--metric", metric])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: artifact {first}") and err.count("\n") == 1
+    main(["report", small, "--metric", metric])
+    alone = capsys.readouterr().err
+    main(["report", good, small, bad, "--metric", metric])
+    assert capsys.readouterr().err == alone
+
+
+def test_score_artifacts_buffers_at_most_one_group(tmp_path, capsys, monkeypatch):
+    # 30 artifacts of 16 returns under a cap of 100 values: flushes of 7
+    # artifacts (112 values) and a last one of 2, in input order
+    monkeypatch.setattr(cli, "_GROUP_VALUES", 100)
+    flushes = []
+    stacked = cli._stacked
+    monkeypatch.setattr(cli, "_stacked", lambda arrays, score: flushes.append(
+        [a.size for a in arrays]) or stacked(arrays, score))
+    paths = [_make_eval_artifact(tmp_path / f"e{i:02d}.json", f"p{i}",
+                                 [float(i + j) for j in range(16)]) for i in range(30)]
+    assert main(["pareto", *paths]) == 0
+    assert flushes == [[16] * 7] * 4 + [[16] * 2]
+    rows = parse_csv(capsys.readouterr().out)
+    assert [r["expected_return"] for r in rows] == [repr(i + 7.5) for i in range(30)]

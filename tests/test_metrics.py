@@ -99,6 +99,17 @@ def test_summarize_fields():
     assert s.lcb_by_alpha == {0.0: 3.0, 1.0: 2.0}
 
 
+def test_summarize_computes_each_estimate_once(monkeypatch):
+    calls = []
+    for name in ("performance", "dispersion"):
+        fn = getattr(metrics, name)
+        monkeypatch.setattr(metrics, name,
+                            lambda x, kind, fn=fn, name=name: calls.append(name) or fn(x, kind))
+    s = summarize(make_record([1, 2, 3, 4, 5]), alphas=[0.0, 0.5, 1.0])
+    assert sorted(calls) == ["dispersion", "performance"]
+    assert s.lcb_by_alpha == {0.0: 3.0, 0.5: 2.5, 1.0: 2.0}
+
+
 @pytest.mark.parametrize("perf", PERF_ESTIMATORS)
 @pytest.mark.parametrize("disp", DISP_ESTIMATORS)
 def test_lcb_entry_points_agree_bit_for_bit(perf, disp):
@@ -159,6 +170,32 @@ def test_pairwise_distances_bit_equal_per_row_oracle(monkeypatch, block_values):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (d, n)
 
 
+@pytest.mark.parametrize("block_values", [None, 12, 400])
+def test_pairwise_distances_stack_equals_each_slice(monkeypatch, block_values):
+    # an (A, n, d) stack against one call per slice, with n on each side of
+    # the stack's block edge (block rows = block values // (A * d))
+    if block_values is not None:
+        monkeypatch.setattr(metrics, "_BLOCK_VALUES", block_values)
+    v = metrics._BLOCK_VALUES
+    gen = np.random.default_rng(9)
+    crossed = 0
+    for d in (0, 1, 2, 7, 9, 400):
+        for a in (1, 2, 3, 5):
+            rows = max(1, v // max(1, a * d))
+            for n in sorted({2, 3, 17, rows, rows + 1, 2 * rows + 1}):
+                if n < 2 or n > 300 or a * n * d > 2**18:
+                    continue
+                crossed += n > rows
+                pts = gen.standard_normal((a, n, d)) * 10.0 ** gen.integers(-3, 4, (a, n, 1))
+                got = pairwise_distances(pts)
+                assert got.shape == (a, n * (n - 1) // 2)
+                want = np.stack([pairwise_distances(p) for p in pts])
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (d, a, n)
+    assert crossed > 0
+    stack = gen.standard_normal((2, 3, 4, 5))
+    assert np.array_equal(pairwise_distances(stack)[1, 2], pairwise_distances(stack[1, 2]))
+
+
 @pytest.mark.parametrize("block_values", [None, 3])
 def test_pairwise_distances_row_major_pair_order(monkeypatch, block_values):
     # point i sits at 2^i on the first axis, so pair (i, j) is 2^j - 2^i exactly
@@ -180,6 +217,20 @@ def test_pairwise_distances_temporaries_stay_within_a_block():
     # N=1024 state marginals of 400 values: 4 MiB of output, and at most 1 MiB
     # besides it for the differences
     pts = np.random.default_rng(3).standard_normal((1024, 400))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = pairwise_distances(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2**20, peak
+
+
+def test_pairwise_distances_stack_temporaries_stay_within_a_block():
+    # 16 stacked (128, 400) slices: 1 MiB of output, and at most 1 MiB besides
+    # it, so the differences of all slices together stay within one block
+    pts = np.random.default_rng(4).standard_normal((16, 128, 400))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()

@@ -197,12 +197,19 @@ def test_bootstrap_default_stream_is_fixed():
 
 
 # one stratum; a size-1 stratum; three strata with odd sizes; a pooled sample
-# of more than one block, so each block holds one resample
+# of more than one block, so each block holds one resample. Equal sizes draw
+# below a scalar bound: three equal strata, one odd-sized stratum, one stratum
+# above half a block, and two equal strata of two resamples per block and a
+# short last block.
 BOOTSTRAP_CASES = [
     ((5,), 2000),
     ((1, 4), 2000),
     ((3, 6, 1), 2000),
     ((stats._BLOCK_VALUES // 2 + 1, stats._BLOCK_VALUES // 2 + 2), 3),
+    ((4, 4, 4), 2000),
+    ((63,), 2000),
+    ((stats._BLOCK_VALUES // 2 + 3,), 3),
+    ((stats._BLOCK_VALUES // 4 - 1, stats._BLOCK_VALUES // 4 - 1), 3),
 ]
 
 
