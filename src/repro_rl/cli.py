@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import glob as globmod
 import io
 import itertools
@@ -67,6 +68,13 @@ _CONFIG_CASTS = {
 }
 
 _RETURNS, _ESTIMATORS = attrgetter("returns"), {**PERFORMANCE, **DISPERSION}
+
+
+def _alpha_label(alpha: float) -> str:
+    """`lcb[alpha=...]` with alpha by `:g`, or by repr where `:g` rounds it."""
+    return f"lcb[alpha={alpha:g}]" if float(f"{alpha:g}") == alpha else f"lcb[alpha={alpha!r}]"
+
+
 # report metric -> (array it reads from a record, check that n values suffice,
 # scorer of a (rows, n) block or (rows, n, d) stack -> [(label, value per row)])
 REPORT_METRICS = {
@@ -74,7 +82,7 @@ REPORT_METRICS = {
            lambda al, c, b, k=k: [(k, _ESTIMATORS[k](b))]) for k in _ESTIMATORS},
     "lcb": (_RETURNS,
             lambda al, c, n: [require_values(k, n) for k in (c.perf, c.disp)[: 1 + any(al)]],
-            lambda al, c, b: list(zip([f"lcb[alpha={a:g}]" for a in al], lcb_values(
+            lambda al, c, b: list(zip(map(_alpha_label, al), lcb_values(
                 PERFORMANCE[c.perf](b), DISPERSION[c.disp](b) if any(al) else 0.0, al)))),
     **{k: (read, lambda al, c, n: require_points(n),
            lambda al, c, b, k=k, d=d: [(k, DISPERSION[d](pairwise_distances(b)))])
@@ -447,10 +455,12 @@ def cmd_report(args) -> int:
             cells.setdefault((*cell, label), {}).setdefault(policy_id, []).append((seed, value))
 
     # Rows and bootstrap streams follow the cell keys with noise-label suffixes
-    # cut (the keys before suffixes existed), then the suffixed cells, so a cell
-    # at default noise settings keeps its bytes whatever else the inputs hold.
-    bases = sorted({(*k[:2], k[2].split("[")[0], k[3]) for k in cells})
-    rank = {k: i for i, k in enumerate(bases + sorted(k for k in cells if "[" in k[2]))}
+    # cut (the keys before suffixes existed), then suffixed cells, then cells of
+    # repr-labelled alphas, so default noise settings and `:g` alphas keep their bytes.
+    late = {_alpha_label(a) for a in alphas} - {f"lcb[alpha={a:g}]" for a in alphas}
+    bases = sorted({(*k[:2], k[2].split("[")[0], k[3]) for k in cells if k[3] not in late})
+    rank = {k: i for i, k in enumerate(bases + sorted(
+        (k for k in cells if "[" in k[2] or k[3] in late), key=lambda k: (k[3] in late, k)))}
     rows = []
     for key in sorted(cells, key=rank.get):
         idx = rank[key]
@@ -543,9 +553,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's, built once; parsing leaves it as is
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, DataError, NumericFailure, ValueError) as e:

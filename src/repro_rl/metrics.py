@@ -134,10 +134,88 @@ def require_points(n: int) -> None:
         raise ValueError(f"need at least 2 points, got {n}")
 
 
+def pairwise_mad(points: np.ndarray) -> float:
+    """mad(pairwise_distances(points)) of one (n, d) point set, bit for bit, with
+    exact distances only for pairs whose Gram-matrix distance is near the median
+    or the MAD; other inputs, or windows of over a quarter of the pairs, use all."""
+    x = np.asarray(points, dtype=np.float64)
+    a, bound = _gram_distances(x)
+    if a is not None:
+        med = _near_median(a, 4 * bound, lambda idx: _exact_distances(x, idx))
+        if med is not None:
+            np.abs(np.subtract(a, med, out=a), out=a)
+            dev = _near_median(a, 4 * bound, lambda idx: np.abs(_exact_distances(x, idx) - med))
+            if dev is not None:
+                return float(dev)
+        del a
+    return mad(pairwise_distances(x))  # with its errors
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow leaves r not finite
+def _gram_distances(x: np.ndarray):
+    """(a, bound): condensed distances a of finite (n >= 2, d) points x from the
+    Gram matrix of the centred points c, in row blocks of at most _BLOCK_VALUES
+    values, and bound >= every |a - pairwise_distances(x)|. Else (None, None)."""
+    if x.ndim != 2 or len(x) < 2 or not np.all(np.isfinite(x)):
+        return None, None
+    n, d = x.shape
+    c = x - x.mean(axis=0)
+    sq = np.einsum("ij,ij->i", c, c)
+    # With u = 2**-53, g = γ_{d+4} = (d+4)u/(1 - (d+4)u), η = 2**-1074 and r >=
+    # all |x_i - mean| and |c_i| (from the top norm², its γ_d error, dη/2 of
+    # underflow and 1 - u for centring), bound = 2r(√g + 2g) + 3√((d+4)η) sums:
+    # centring's rounding, 2ur (underflowing subtraction is exact); √ of a²'s
+    # error (|√p - √q| <= √|p - q|), 2r√g + √(2(d+1)η), as norms² and Gram
+    # entries in any summation order, FMA or not, err by γ_d|c_i|², γ_d|c_i||c_j|
+    # and dη/2 for underflowing products, the assembly rounds twice and the clamp
+    # at 0 only shrinks it; √'s rounding, u(2r + 2r√g + √(2(d+1)η)); dist's own
+    # error, γ_{d+3}·2r + √((d+1)η/2)(1 + u). The MAD stage's |a - m|, |dist - m|
+    # add u(2r + bound) each, < bound as bound >= 4r√u: eps = 4·bound is 2x safe.
+    g = (d + 4) * 2.0**-53 / (1 - (d + 4) * 2.0**-53)
+    r = math.sqrt(sq.max() + (d + 4) * 2.0**-1074) * (1 + g)
+    if not r < 2.0**510 or not sq.any():  # squares could pass 2**1022; all norms² 0
+        return None, None
+    a, pos, rows = np.empty(n * (n - 1) // 2), 0, max(1, _BLOCK_VALUES // n)
+    for i in range(0, n - 1, rows):
+        block = sq[i : i + rows, None] + (sq[i:] - 2.0 * (c[i : i + rows] @ c[i:].T))
+        for k, row in enumerate(block[: n - 1 - i]):
+            a[pos : pos + n - 1 - i - k] = row[k + 1 :]
+            pos += n - 1 - i - k
+    np.sqrt(np.maximum(a, 0.0, out=a), out=a)
+    return a, 2 * r * (math.sqrt(g) + 2 * g) + 3 * math.sqrt((d + 4) * 2.0**-1074)
+
+
+def _exact_distances(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """pairwise_distances(x)[idx], bit for bit: its operations on C-contiguous rows."""
+    starts = np.concatenate(([0], np.cumsum(np.arange(len(x) - 1, 1, -1))))  # row i's first pair
+    out, step = np.empty(len(idx)), max(1, _BLOCK_VALUES // max(1, x.shape[1]))
+    for s in range(0, len(idx), step):
+        i = np.searchsorted(starts, idx[s : s + step], side="right") - 1
+        diff = x[idx[s : s + step] - starts[i] + i + 1] - x[i]
+        np.multiply(diff, diff, out=diff)
+        np.sqrt(np.add.reduce(diff, axis=-1, out=out[s : s + step]), out=out[s : s + step])
+    return out
+
+
+def _near_median(w: np.ndarray, eps: float, exact):
+    """np.median of v, given w with |w - v| <= eps and exact(idx) = v[idx], or
+    None when over a quarter of v is needed. v's median order statistics lie
+    among the v whose w is within 2 eps of w's; those below are smaller."""
+    k0, k1 = (len(w) - 1) // 2, len(w) // 2
+    part = np.partition(w, k0)  # one kth: several cost one selection each
+    lo, hi = np.nextafter([part[k0] - 2 * eps, part[k1:].min() + 2 * eps], [-np.inf, np.inf])
+    del part
+    idx = np.flatnonzero((w >= lo) & (w <= hi))
+    if len(idx) > len(w) // 4:
+        return None
+    below, near = np.count_nonzero(w < lo), np.sort(exact(idx))
+    return np.median(near[k0 - below : k1 - below + 1])
+
+
 def behavioural_mad(descriptors: np.ndarray) -> float:
     """MAD of the pairwise descriptor distances. Zero when all rollouts
     behave identically."""
-    return mad(pairwise_distances(descriptors))
+    return pairwise_mad(descriptors)
 
 
 def behavioural_iqr(descriptors: np.ndarray) -> float:

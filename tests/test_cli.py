@@ -414,6 +414,34 @@ def test_report_lcb_rows_equal_library_lcb(tmp_path, capsys, perf, disp):
     }
 
 
+def test_report_lcb_keeps_alphas_that_g_rounds_alike_apart(tmp_path, capsys):
+    # 1 and 1.0000001 both read "1" by `:g`; they used to share one cell, whose
+    # point averaged their LCBs (20.99999995 here). An alpha that `:g` rounds is
+    # labelled by repr and its cells follow the rest, which keep their bytes.
+    paths = [_make_eval_artifact(tmp_path / "e.json", "p0", [1.0, 2.0, 3.0, 4.0, 100.0])]
+    paths += [_make_eval_artifact(tmp_path / f"q{s}.json", f"q{s}", list(
+        np.random.default_rng(s).normal(5.0, 2.0, 8)), seed=s, algo="es") for s in range(4)]
+
+    def report(alphas):
+        assert main(["report", *paths, "--metric", "lcb", "--alphas", alphas,
+                     "--n-resamples", "50"]) == 0
+        return parse_csv(capsys.readouterr().out)
+
+    plain, split = report("1,2"), report("1,1.0000001,2")
+    assert split[: len(plain)] == plain
+    assert [(r["algo"], r["metric"]) for r in split[len(plain):]] == [
+        ("es", "lcb[alpha=1.0000001]"), ("scripted", "lcb[alpha=1.0000001]")]
+    assert [r["point"] for r in split if r["algo"] == "scripted"] == [
+        "21.0", "20.0", repr(22.0 - 1.0000001)]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    assert cli.build_parser() is not cli.build_parser()  # build_parser() returns a new parser
+    assert main(["print-config"]) == 0
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", lambda *a, **k: pytest.fail("rebuilt"))
+    assert main(["print-config"]) == 0
+
+
 def test_report_is_idempotent(tmp_path):
     for seed in range(3):
         _make_eval_artifact(tmp_path / f"e{seed}.json", "p0",

@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,12 +19,14 @@ from repro_rl.metrics import (
     lcb,
     lcb_sweep,
     pairwise_distances,
+    pairwise_mad,
     pareto_front,
     performance,
     state_marginal_repro,
     summarize,
 )
 from repro_rl.noise import NoiseConfig
+from repro_rl.stats import mad
 
 
 def make_record(returns, policy_id="p", marginals=None):
@@ -248,6 +252,128 @@ def test_pairwise_distances_validation():
         pairwise_distances(np.zeros(4))
     with pytest.raises(ValueError):
         pairwise_distances(np.array([[1.0], [np.nan]]))
+
+
+def _mad_of_all_pairs(pts):
+    # The path pairwise_mad must match bit for bit: all N(N-1)/2 distances.
+    return mad(pairwise_distances(pts))
+
+
+def _bits(value):
+    return np.float64(value).view(np.uint64)
+
+
+def _outcome(fn, pts):
+    try:
+        return _bits(fn(pts))
+    except (ValueError, RuntimeWarning) as e:
+        return type(e), str(e)
+
+
+def _assert_gram_bound_holds(pts):
+    a, bound = metrics._gram_distances(pts)
+    if a is None:  # only where every centred norm² is 0 (no width, or underflow)
+        c = pts - pts.mean(axis=0)
+        assert not np.einsum("ij,ij->i", c, c).any()
+        return
+    dist = pairwise_distances(pts)
+    assert np.max(np.abs(a - dist)) <= bound
+    m = np.median(dist)  # the MAD stage's values are within twice the bound
+    assert np.max(np.abs(np.abs(a - m) - np.abs(dist - m))) <= 2 * bound
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 7, 8, 9, 128, 129, 400])
+def test_pairwise_mad_bit_equal_over_widths_and_counts(d):
+    gen = np.random.default_rng(100 + d)
+    for n in (2, 3, 4, 5, 17, 300, 1024):
+        walks = np.cumsum(gen.standard_normal((n, d)), axis=1)
+        for pts in [walks] + [gen.standard_normal((n, d))] * (n < 1024):
+            assert _bits(pairwise_mad(pts)) == _bits(_mad_of_all_pairs(pts)), (n, d)
+            _assert_gram_bound_holds(pts)
+
+
+def _adversarial_points():
+    gen = np.random.default_rng(14)
+    centres = gen.standard_normal((5, 6))
+    return {
+        "identical": np.tile(gen.standard_normal((1, 9)), (33, 1)),
+        "lattice, even pair count": gen.integers(0, 3, (40, 2)).astype(float),
+        "lattice, odd pair count": gen.integers(0, 3, (38, 3)).astype(float),
+        "near-duplicates": centres[gen.integers(0, 5, 60)] + 1e-13 * gen.standard_normal((60, 6)),
+        "offset 1e8": 1e8 + gen.standard_normal((50, 5)),
+        "scale 1e-160": 1e-160 * gen.standard_normal((50, 9)),
+        "scale 1e-200": 1e-200 * gen.standard_normal((50, 9)),
+        "scale 1e200": 1e200 * gen.standard_normal((50, 9)),
+        "mixed scales": gen.standard_normal((60, 6)) * np.logspace(-150, 150, 6),
+    }
+
+
+@pytest.mark.parametrize("name", list(_adversarial_points()))
+def test_pairwise_mad_bit_equal_on_adversarial_points(name):
+    pts = _adversarial_points()[name]
+    # outcomes match with overflow warnings raised (the suite's setting) and
+    # ignored, when the 1e200 distances fail mad's finiteness check
+    assert _outcome(pairwise_mad, pts) == _outcome(_mad_of_all_pairs, pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _outcome(pairwise_mad, pts) == _outcome(_mad_of_all_pairs, pts)
+    if name == "scale 1e200":
+        assert metrics._gram_distances(pts) == (None, None)  # squares could overflow
+        return
+    _assert_gram_bound_holds(pts)
+    if name.startswith("lattice"):
+        dist = pairwise_distances(pts)
+        dev = np.abs(dist - np.median(dist))
+        assert np.sum(dist == np.median(dist)) > 1 and np.sum(dev == np.median(dev)) > 1
+
+
+@pytest.mark.parametrize("block_values", [None, 12])
+def test_exact_distances_have_the_bits_of_pairwise_distances(monkeypatch, block_values):
+    if block_values is not None:
+        monkeypatch.setattr(metrics, "_BLOCK_VALUES", block_values)
+    gen = np.random.default_rng(15)
+    for d in (0, 1, 2, 7, 8, 9, 129):
+        pts = np.cumsum(gen.standard_normal((23, d)), axis=1)
+        idx = np.sort(gen.permutation(23 * 22 // 2)[:100])
+        got = metrics._exact_distances(pts, idx)
+        assert np.array_equal(got.view(np.uint64), pairwise_distances(pts)[idx].view(np.uint64))
+
+
+def test_pairwise_mad_recomputes_under_one_percent_of_random_walk_pairs(monkeypatch):
+    # eval-sweep-like state marginals: N=1024 random walks of 400 values
+    counts = []
+    near_median = metrics._near_median
+    monkeypatch.setattr(metrics, "_near_median", lambda w, eps, exact: near_median(
+        w, eps, lambda idx: (counts.append(len(idx)), exact(idx))[1]))
+    pts = np.cumsum(np.random.default_rng(7).standard_normal((1024, 400)), axis=1)
+    assert _bits(pairwise_mad(pts)) == _bits(_mad_of_all_pairs(pts))
+    assert len(counts) == 2 and 0 < sum(counts) < 0.01 * (1024 * 1023 // 2), counts
+
+
+def test_pairwise_mad_peak_memory_within_the_all_pairs_path():
+    pts = np.cumsum(np.random.default_rng(9).standard_normal((1024, 400)), axis=1)
+    peaks = []
+    for fn in (_mad_of_all_pairs, behavioural_mad):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            fn(pts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**19, peaks
+
+
+@pytest.mark.parametrize("pts", [
+    np.zeros(4), np.zeros((1, 3)), np.array([[1.0], [np.nan]]), np.array([[np.inf, 0.0]] * 3),
+    np.zeros((2, 3, 2)),  # a stack of point sets: mad needs 1-D distances
+])
+def test_pairwise_mad_raises_the_all_pairs_errors(pts):
+    with pytest.raises(ValueError) as want:
+        _mad_of_all_pairs(pts)
+    for fn in (pairwise_mad, behavioural_mad):
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            fn(pts)
 
 
 def test_behavioural_mad_identical_rollouts_zero():
