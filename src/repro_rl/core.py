@@ -10,7 +10,9 @@ once, from a cached (seeds, tag) pool prefix; generators (`state_generator`,
 
 from __future__ import annotations
 
+import binascii
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Optional, Sequence, Union
@@ -68,7 +70,6 @@ _JSON_CASTS = {
     "tuple": tuple,
     "Optional[tuple]": lambda v: None if v is None else tuple(v),
     "np.ndarray": lambda v: np.asarray(v, dtype=np.float64),
-    "Optional[np.ndarray]": lambda v: None if v is None else np.asarray(v, dtype=np.float64),
 }
 
 
@@ -93,11 +94,13 @@ class JsonFields:
 
     Tuples and arrays become lists. On load a missing key takes the field
     default, unknown keys are ignored and values are cast by annotation
-    (`int`, `float`, `tuple`, `np.ndarray`, the last two also `Optional`).
+    (`int`, `float`, `tuple`, `Optional[tuple]`, `np.ndarray`).
     """
 
-    def to_json_dict(self) -> dict:
-        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+    def to_json_dict(self, **given) -> dict:
+        """The fields as JSON values; `given` values replace those of the same names."""
+        return {f.name: given[f.name] if f.name in given else _json_value(getattr(self, f.name))
+                for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, d: dict, **given):
@@ -454,13 +457,13 @@ class EvalRecord(JsonFields):
         return int(self.returns.shape[0])
 
     def to_json_dict(self) -> dict:
-        """The fields, with `env_id` under "env" and `n_evals` added; no
-        `state_marginals` when None and no `extra` when empty."""
-        d = super().to_json_dict()
+        """The fields, with `env_id` under "env", `n_evals` added and
+        `state_marginals` in `_f8_json`'s form; none when None, no `extra` when empty."""
+        marginals = None if self.state_marginals is None else _f8_json(self.state_marginals)
+        d = super().to_json_dict(master_seed=int(self.master_seed), state_marginals=marginals)
         d["env"] = d.pop("env_id")
-        d["master_seed"] = int(self.master_seed)
         d["n_evals"] = self.n_evals
-        if self.state_marginals is None:
+        if marginals is None:
             del d["state_marginals"]
         if not self.extra:
             del d["extra"]
@@ -471,5 +474,30 @@ class EvalRecord(JsonFields):
         from .noise import NoiseConfig
 
         return super().from_json_dict(
-            d, env_id=d["env"], noise=NoiseConfig.from_json_dict(d["noise"])
+            d, env_id=d["env"], noise=NoiseConfig.from_json_dict(d["noise"]),
+            state_marginals=_f8_array(d.get("state_marginals")),
         )
+
+
+def _f8_json(a: np.ndarray) -> dict:
+    """`a` as the base64 of its little-endian float64 bytes in C order."""
+    a = np.asarray(a, dtype="<f8", order="C")
+    return {"dtype": "<f8", "shape": list(a.shape),
+            "base64": binascii.b2a_base64(a.data, newline=False).decode("ascii")}
+
+
+def _f8_array(v) -> Optional[np.ndarray]:
+    """Writable float64 array of a `_f8_json` object, bit for bit; None and
+    nested lists (the older form) are read as they were."""
+    if not isinstance(v, dict):
+        return None if v is None else np.asarray(v, dtype=np.float64)
+    shape = v["shape"]
+    try:
+        data = binascii.a2b_base64(v["base64"], strict_mode=True)
+    except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
+        raise ValueError(f"state_marginals base64: {e}") from None
+    if v["dtype"] != "<f8" or not isinstance(shape, list) or not all(
+            type(k) is int and k >= 0 for k in shape) or len(data) != 8 * math.prod(shape):
+        raise ValueError(f"state_marginals needs dtype '<f8', a shape of non-negative ints and "
+                         f"8 bytes per value, got {v['dtype']!r}, {shape!r} and {len(data)} bytes")
+    return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)

@@ -1,3 +1,4 @@
+import base64
 import csv
 import dataclasses
 import io
@@ -275,8 +276,7 @@ def test_evaluate_records_marginals_when_configured(tmp_path, capsys):
     main(["evaluate", "--config", cfg, "--policy",
           str(tmp_path / "runs" / "train_es_seed0.json"), "--out", str(out)])
     art = read_json(out)
-    assert len(art["state_marginals"]) == 16
-    assert len(art["state_marginals"][0]) == 1
+    assert EvalRecord.from_json_dict(art).state_marginals.shape == (16, 1)
 
 
 def test_evaluate_numeric_failure_exits_1_naming_rollout_and_step(tmp_path, capsys):
@@ -668,6 +668,62 @@ def test_malformed_eval_artifact_exits_1(tmp_path, capsys, case, command):
     assert err.startswith("error: artifact ")
     assert err.count("\n") == 1
     assert "Traceback" not in err and "Warning" not in err
+
+
+def _f8_payload(values, shape, dtype="<f8", b64=None):
+    raw = np.asarray(values, dtype="<f8").tobytes()
+    return {"dtype": dtype, "shape": shape,
+            "base64": base64.b64encode(raw).decode() if b64 is None else b64}
+
+
+# state_marginals payloads in the binary form that every command must refuse
+# for an artifact of 3 returns; the good form is shape [3, 2] of 6 values.
+# The two base64 cases decode to the right 48 bytes unless decoding is strict.
+_GOOD_B64 = _f8_payload(range(6), [3, 2])["base64"]
+BAD_MARGINAL_PAYLOADS = {
+    "base64-character": _f8_payload(range(6), [3, 2], b64=_GOOD_B64[:10] + "!" + _GOOD_B64[10:]),
+    "base64-padding": _f8_payload(range(6), [3, 2], b64="=" + _GOOD_B64),
+    "base64-non-ascii": _f8_payload(range(6), [3, 2], b64="\u00e9" * 64),
+    "base64-not-string": _f8_payload(range(6), [3, 2], b64=12),
+    "byte-count": _f8_payload(range(5), [3, 2]),
+    "dtype-big-endian": _f8_payload(range(6), [3, 2], dtype=">f8"),
+    "dtype-f4": _f8_payload(range(6), [3, 2], dtype="<f4"),
+    "missing-base64": {"dtype": "<f8", "shape": [3, 2]},
+    "missing-dtype": {"shape": [3, 2], "base64": _GOOD_B64},
+    "shape-not-list": _f8_payload(range(6), 6),
+    "shape-negative": _f8_payload([], [3, -2]),
+    "shape-float": _f8_payload(range(6), [3.0, 2]),
+    "shape-bool": _f8_payload(range(3), [3, True]),
+    "shape-3d": _f8_payload(range(6), [3, 2, 1]),
+    "rows-not-n-evals": _f8_payload(range(6), [2, 3]),
+    "nan-in-bytes": _f8_payload([0.0, 1.0, float("nan"), 3.0, 4.0, 5.0], [3, 2]),
+    "inf-in-bytes": _f8_payload([0.0, 1.0, 2.0, float("-inf"), 4.0, 5.0], [3, 2]),
+}
+
+
+@pytest.mark.parametrize("case", BAD_MARGINAL_PAYLOADS)
+def test_malformed_binary_marginals_exit_1(tmp_path, capsys, case):
+    path = _make_eval_artifact(tmp_path / "e.json", "p0", [1.0, 2.0, 3.0])
+    _patch_artifact(path, state_marginals=_f8_payload(range(6), [3, 2]))
+    assert main(["report", path, "--metric", "smad"]) == 0
+    capsys.readouterr()
+    _patch_artifact(path, state_marginals=BAD_MARGINAL_PAYLOADS[case])
+    assert main(["report", path, "--metric", "smad"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: artifact {path}")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err and "Warning" not in err
+
+
+def test_report_reads_list_and_binary_marginals_alike(tmp_path, capsys):
+    rows = np.arange(8.0).reshape(4, 2) ** 1.5 / 3
+    outs = []
+    for form in (rows.tolist(), _f8_payload(rows, [4, 2])):
+        path = _make_eval_artifact(tmp_path / "e.json", "p0", [1.0, 2.0, 3.0, 4.0])
+        _patch_artifact(path, state_marginals=form)
+        assert main(["report", path, "--metric", "smad", "--format", "json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("alphas", ["nan", "inf", "0,-1"])

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -113,9 +114,20 @@ EVAL_RECORD_GOLDEN = [
         '"extra": {"note": "x", "sizes": [1, 2]}, "master_seed": 1099511627776, '
         '"n_evals": 2, "noise": {"kind": "param", "obs_affects_reward": true, '
         '"resample": "per-step", "sigma": 0.02}, "policy_id": "p1", '
-        '"returns": [-3.25, 0.5], "state_marginals": [[0.1, 0.2, 0.3], [1e-300, -0.0, 5.0]]}',
+        '"returns": [-3.25, 0.5], "state_marginals": {"base64": '
+        '"mpmZmZmZuT+amZmZmZnJPzMzMzMzM9M/WfP4wh9upQEAAAAAAAAAgAAAAAAAABRA", '
+        '"dtype": "<f8", "shape": [2, 3]}}',
     ),
 ]
+# The second record as written before state marginals were stored as binary:
+# still read to the same arrays.
+EVAL_RECORD_LIST_FORM = (
+    '{"descriptors": [[0.0, 1.0], [2.0, -1.5]], "env": "point-mass-nav", '
+    '"extra": {"note": "x", "sizes": [1, 2]}, "master_seed": 1099511627776, '
+    '"n_evals": 2, "noise": {"kind": "param", "obs_affects_reward": true, '
+    '"resample": "per-step", "sigma": 0.02}, "policy_id": "p1", '
+    '"returns": [-3.25, 0.5], "state_marginals": [[0.1, 0.2, 0.3], [1e-300, -0.0, 5.0]]}'
+)
 
 
 @pytest.mark.parametrize("fields,golden", EVAL_RECORD_GOLDEN, ids=["plain", "marginals-extra"])
@@ -132,6 +144,46 @@ def test_eval_record_json_bytes_and_round_trip(fields, golden):
         want, got = getattr(rec, name), getattr(back, name)
         assert (got is None) if want is None else np.array_equal(got, want), name
     assert json.dumps(back.to_json_dict(), sort_keys=True) == golden
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype="<f8").view("<u8")
+
+
+def test_eval_record_reads_list_form_marginals_and_rewrites_binary():
+    fields, golden = EVAL_RECORD_GOLDEN[1]
+    back = EvalRecord.from_json_dict(json.loads(EVAL_RECORD_LIST_FORM))
+    for name in ("returns", "descriptors", "state_marginals"):
+        assert np.array_equal(_bits(getattr(back, name)), _bits(fields[name])), name
+    assert back.state_marginals.dtype == np.float64
+    assert json.dumps(back.to_json_dict(), sort_keys=True) == golden
+
+
+_EDGE = np.array([[-0.0, 1e-300, 5e-324], [1.7e308, -1.7e308, 0.1]])
+MARGINAL_ROUND_TRIPS = {
+    "edge-values": _EDGE,
+    "big-endian": _EDGE.astype(">f8"),
+    "fortran-order": np.asfortranarray(np.arange(12.0).reshape(3, 4) / 7),
+    "strided": (np.arange(24.0).reshape(4, 6) - 0.5)[::2, ::3],
+    "zero-width": np.zeros((3, 0)),
+    "one-row": np.array([[2.5, -0.0, 5e-324]]),
+}
+
+
+@pytest.mark.parametrize("marginals", MARGINAL_ROUND_TRIPS.values(), ids=MARGINAL_ROUND_TRIPS)
+def test_eval_record_marginals_round_trip_bit_exact(marginals):
+    n = marginals.shape[0]
+    rec = EvalRecord(policy_id="p", env_id="e", noise=NoiseConfig(), master_seed=3,
+                     returns=np.zeros(n), descriptors=np.zeros((n, 1)), state_marginals=marginals)
+    d = json.loads(json.dumps(rec.to_json_dict()))
+    want = np.ascontiguousarray(marginals, dtype="<f8")
+    assert d["state_marginals"]["dtype"] == "<f8"
+    assert d["state_marginals"]["shape"] == list(marginals.shape)
+    assert base64.b64decode(d["state_marginals"]["base64"], validate=True) == want.tobytes("C")
+    back = EvalRecord.from_json_dict(d).state_marginals
+    assert back.dtype == np.float64 and back.shape == marginals.shape
+    assert back.flags.writeable and back.flags.c_contiguous
+    assert np.array_equal(_bits(back), _bits(marginals))
 
 
 def test_forward_zero_network_outputs_zero():
