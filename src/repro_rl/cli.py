@@ -60,12 +60,6 @@ EVAL_SCHEMA = "repro-rl-eval"
 ALGOS = ("es", "res", "random", "scripted")
 # The algo name decides the ES fitness mode; "res" is the repro variant.
 FITNESS_MODE_OF_ALGO = {"es": "plain", "res": "repro"}
-# ExperimentConfig fields whose JSON value is cast element by element or to bool
-_CONFIG_CASTS = {
-    "record_state_marginal": bool,
-    "seeds": lambda v: tuple(int(s) for s in v),
-    "constant_action": lambda v: None if v is None else tuple(float(x) for x in v),
-}
 
 _RETURNS, _ESTIMATORS = attrgetter("returns"), {**PERFORMANCE, **DISPERSION}
 
@@ -103,18 +97,23 @@ class DataError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig(JsonFields):
-    """Everything one train/evaluate invocation needs."""
+    """Everything one train/evaluate invocation needs. An `es.arch` of None is
+    (state_dim, 16, 16, action_dim), and algo "es" or "res" sets `es.fitness_mode`."""
 
     env: EnvConfig
     noise: NoiseConfig
     algo: str = "es"
-    es: EsConfig = EsConfig(arch=(4, 16, 16, 2), popsize=32, lr=0.05, generations=50)
+    es: EsConfig = EsConfig(popsize=32, lr=0.05, generations=50)
     n_evals: int = 256
     record_state_marginal: bool = False
     seeds: tuple = (0,)
     constant_action: Optional[tuple] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if self.constant_action is not None:
+            action = tuple(float(x) for x in self.constant_action)
+            object.__setattr__(self, "constant_action", action)
         if self.algo not in ALGOS:
             raise ConfigError(f"unknown algo {self.algo!r}, valid: {', '.join(ALGOS)}")
         if len(self.seeds) < 1:
@@ -125,6 +124,11 @@ class ExperimentConfig(JsonFields):
             raise ConfigError(f"n_evals must be >= 1, got {self.n_evals}")
         if self.algo == "scripted" and self.constant_action is None:
             raise ConfigError("algo 'scripted' requires constant_action")
+        arch = self.es.arch
+        if arch is None:
+            arch = (self.env.state_dim, 16, 16, self.env.action_dim)
+        mode = FITNESS_MODE_OF_ALGO.get(self.algo, self.es.fitness_mode)
+        object.__setattr__(self, "es", dataclasses.replace(self.es, arch=arch, fitness_mode=mode))
 
     def to_json_dict(self) -> dict:
         d = super().to_json_dict()
@@ -136,8 +140,7 @@ class ExperimentConfig(JsonFields):
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
         """Config from JSON. A missing `env` is point-mass-nav, a missing
         `noise` section is `NoiseConfig()`, a missing `es` section is the `es`
-        field default, a present `es` section fills its gaps from `EsConfig`,
-        and a missing `es.arch` is (state_dim, 16, 16, action_dim)."""
+        field default and a present `es` section fills its gaps from `EsConfig`."""
         if not isinstance(d, dict):
             raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
         try:
@@ -151,17 +154,10 @@ class ExperimentConfig(JsonFields):
                 env = BUILTIN_ENVS[name]()
             else:
                 env = EnvConfig.from_json_dict(env_entry)
-            noise = NoiseConfig.from_json_dict(d.get("noise", {}))
+            sections = {"env": env, "noise": NoiseConfig.from_json_dict(d.get("noise", {}))}
             if "es" in d:
-                es = EsConfig.from_json_dict(d["es"])
-            else:
-                es = dataclasses.replace(cls.es, arch=None)
-            if es.arch is None:
-                es = dataclasses.replace(es, arch=(env.state_dim, 16, 16, env.action_dim))
-            given = {k: cast(d[k]) for k, cast in _CONFIG_CASTS.items() if k in d}
-            cfg = super().from_json_dict(d, env=env, noise=noise, es=es, **given)
-            mode = FITNESS_MODE_OF_ALGO.get(cfg.algo, es.fitness_mode)
-            return dataclasses.replace(cfg, es=dataclasses.replace(es, fitness_mode=mode))
+                sections["es"] = EsConfig.from_json_dict(d["es"])
+            return super().from_json_dict(d, **sections)
         except ConfigError:
             raise
         except (ValueError, TypeError) as e:
@@ -199,21 +195,23 @@ def _now() -> str:
 
 def _write_text(text: str, path: Optional[str]) -> None:
     """Write to stdout, or atomically to `path`: a temp file in the target
-    directory is renamed over it, so readers never see a partial file."""
+    directory is renamed over it, so readers never see a partial file. A
+    path that cannot be written is a ConfigError."""
     if path is None:
         sys.stdout.write(text)
         return
     path = os.path.abspath(path)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(tmp, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from e
+    finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-        raise
 
 
 def _dump_json(obj: dict, path: Optional[str]) -> None:
@@ -253,14 +251,17 @@ def _train_one(cfg: ExperimentConfig, seed: int) -> Tuple[Policy, int, list]:
         return state.center, state.generation, state.history
     if cfg.algo == "random":
         return init_center(cfg.es, seed), 0, []
-    action = np.asarray(cfg.constant_action, dtype=np.float64)
-    return ConstantPolicy(action=action), 0, []
+    return ConstantPolicy(action=cfg.constant_action), 0, []
 
 
 def cmd_train(args) -> int:
     cfg = _run_config(args)
     for seed in cfg.seeds:
-        policy, gens_run, history = _train_one(cfg, seed)
+        try:
+            policy, gens_run, history = _train_one(cfg, seed)
+        except MemoryError as e:
+            raise ConfigError(f"es arch {cfg.es.arch}, popsize {cfg.es.popsize} and n_reevals "
+                              f"{cfg.es.n_reevals} do not fit in memory") from e
         artifact = {
             "schema": RUN_SCHEMA,
             "created_at": _now(),
@@ -303,18 +304,11 @@ def cmd_evaluate(args) -> int:
 
     single_file = len(policies) == 1 and len(cfg.seeds) == 1 and args.out.endswith(".json")
     for (policy, policy_id, algo), seed in itertools.product(policies, cfg.seeds):
-        record = evaluate(
-            policy,
-            cfg.env,
-            cfg.noise,
-            EvalConfig(
-                n_evals=cfg.n_evals,
-                master_seed=seed,
-                record_state_marginal=cfg.record_state_marginal,
-            ),
-            jobs=args.jobs,
-            policy_id=policy_id,
-        )
+        eval_cfg = EvalConfig(cfg.n_evals, seed, record_state_marginal=cfg.record_state_marginal)
+        try:
+            record = evaluate(policy, cfg.env, cfg.noise, eval_cfg, args.jobs, policy_id=policy_id)
+        except MemoryError as e:
+            raise ConfigError(f"n_evals {cfg.n_evals} does not fit in memory") from e
         artifact = record.to_json_dict()
         artifact["schema"] = EVAL_SCHEMA
         artifact["created_at"] = _now()
@@ -353,19 +347,7 @@ def _load_eval_artifact(path: str) -> Tuple[EvalRecord, str]:
     try:
         record = EvalRecord.from_json_dict(raw)
     except (KeyError, ValueError, TypeError) as e:
-        raise DataError(f"artifact {path} is malformed: {e}") from e
-    n = record.returns.shape[0] if record.returns.ndim == 1 else 0
-    if n < 1 or not np.all(np.isfinite(record.returns)):
-        raise DataError(f"artifact {path}: returns must be a non-empty list of finite numbers")
-    for name in ("descriptors", "state_marginals"):
-        rows = getattr(record, name)
-        if rows is not None and (
-            rows.ndim != 2 or rows.shape[0] != n or not np.all(np.isfinite(rows))
-        ):
-            raise DataError(
-                f"artifact {path}: {name} must be {n} rows of finite numbers, "
-                f"got shape {rows.shape}"
-            )
+        raise DataError(f"artifact {path}: {e}") from e
     return record, raw.get("algo", "unknown")
 
 
@@ -509,9 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True, help="experiment config JSON")
     p_train.add_argument("--out", required=True, help="output directory")
     p_train.add_argument("--seeds", help="comma-separated seed override")
-    p_train.add_argument(
-        "--jobs", type=int, default=1, help="accepted; changes neither results nor speed"
-    )
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a policy under noise")

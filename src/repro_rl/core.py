@@ -65,6 +65,7 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
 # module here uses `from __future__ import annotations`); other annotations
 # take the JSON value as it is.
 _JSON_CASTS = {
+    "bool": bool,
     "int": int,
     "float": float,
     "tuple": tuple,
@@ -471,12 +472,27 @@ class EvalRecord(JsonFields):
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EvalRecord":
+        """Record from an eval artifact's JSON; a ValueError unless the returns
+        are a non-empty 1-D array of finite numbers and the descriptors and
+        state marginals, when present, are 2-D with one finite row per return."""
         from .noise import NoiseConfig
 
-        return super().from_json_dict(
+        record = super().from_json_dict(
             d, env_id=d["env"], noise=NoiseConfig.from_json_dict(d["noise"]),
             state_marginals=_f8_array(d.get("state_marginals")),
         )
+        n = record.returns.shape[0] if record.returns.ndim == 1 else 0
+        if n < 1 or not np.all(np.isfinite(record.returns)):
+            raise ValueError("returns must be a non-empty list of finite numbers")
+        for name in ("descriptors", "state_marginals"):
+            rows = getattr(record, name)
+            if rows is not None and (
+                rows.ndim != 2 or rows.shape[0] != n or not np.all(np.isfinite(rows))
+            ):
+                raise ValueError(
+                    f"{name} must be {n} rows of finite numbers, got shape {rows.shape}"
+                )
+        return record
 
 
 def _f8_json(a: np.ndarray) -> dict:

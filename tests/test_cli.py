@@ -16,6 +16,7 @@ import repro_rl
 from repro_rl import cli
 from repro_rl.cli import ConfigError, ExperimentConfig, default_config, main
 from repro_rl.core import EvalRecord, derive_stream
+from repro_rl.envs import tradeoff_spread
 from repro_rl.metrics import (
     DISP_ESTIMATORS,
     PERF_ESTIMATORS,
@@ -30,6 +31,7 @@ from repro_rl.metrics import (
     performance,
     state_marginal_repro,
 )
+from repro_rl.noise import NoiseConfig
 from repro_rl.stats import PERFORMANCE, stratified_bootstrap
 
 TINY_CONFIG = {
@@ -139,7 +141,7 @@ def test_config_without_es_section_is_the_printed_default(capsys):
     assert (partial.popsize, partial.lr, partial.generations) == (8, 0.03, 100)
 
 
-def test_interrupted_write_keeps_old_file_and_no_temp(tmp_path, monkeypatch):
+def test_interrupted_write_keeps_old_file_and_no_temp(tmp_path, capsys, monkeypatch):
     out = tmp_path / "c.json"
     out.write_text("old\n")
 
@@ -147,10 +149,32 @@ def test_interrupted_write_keeps_old_file_and_no_temp(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError):
-        main(["print-config", "--out", str(out)])
+    assert main(["print-config", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: disk full\n"
     assert out.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["c.json"]
+
+
+@pytest.mark.parametrize("case", ["print-config-to-dir", "train-below-file", "report-below-file"])
+def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, case):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("x\n")
+    cfg = write_config(tmp_path / "cfg.json", seeds=[0])
+    artifact = _make_eval_artifact(tmp_path / "e.json", "p0", [1.0, 2.0, 3.0])
+    file = str(tmp_path / "file")
+    argv, path = {
+        "print-config-to-dir": (["print-config", "--out", str(tmp_path / "dir")],
+                                str(tmp_path / "dir")),
+        "train-below-file": (["train", "--config", cfg, "--out", file],
+                             os.path.join(file, "train_es_seed0.json")),
+        "report-below-file": (["report", artifact, "--metric", "mean", "--out", file + "/r.csv"],
+                              file + "/r.csv"),
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "dir", "e.json", "file"]
+    assert os.listdir(tmp_path / "dir") == [] and (tmp_path / "file").read_text() == "x\n"
 
 
 def test_default_config_is_trainable(tmp_path, capsys):
@@ -497,6 +521,33 @@ def test_report_n_resamples_beyond_memory_exits_2(tmp_path):
     assert done.stderr.count("\n") == 1
 
 
+# config edits whose rollouts need far more than the 1 GiB address space
+RUNS_BEYOND_MEMORY = {
+    "evaluate": ({"n_evals": 10**13}, "n_evals 10000000000000 "),
+    "train": ({"es": {"arch": [1, 2, 1], "popsize": 2 * 10**12}}, "popsize 2000000000000 "),
+}
+
+
+@pytest.mark.parametrize("command", RUNS_BEYOND_MEMORY)
+def test_run_beyond_memory_exits_2_naming_the_size(tmp_path, command):
+    edit, size = RUNS_BEYOND_MEMORY[command]
+    cfg = write_config(tmp_path / "cfg.json", seeds=[0], **edit)
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({"action": [0.5]}))
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+    argv += ["--policy", str(policy)] if command == "evaluate" else []
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro_rl.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro_rl.cli", *argv], capture_output=True, text=True,
+        env=env, preexec_fn=_limit_address_space, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and size in done.stderr
+    assert done.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("metric", ["bmad", "biqr", "smad"])
 def test_report_pairwise_distances_beyond_memory_exit_1(tmp_path, metric):
     # 20,000 episodes need 199,990,000 float64 distances (1.49 GiB), more
@@ -579,6 +630,15 @@ def test_experiment_config_rejects_negative_seed():
         dataclasses.replace(default_config(), seeds=(0, -1))
     with pytest.raises(ConfigError, match="seeds"):
         ExperimentConfig.from_json_dict({"seeds": [-5]})
+
+
+def test_experiment_config_derives_es_arch_and_fitness_mode():
+    cfg = ExperimentConfig(env=tradeoff_spread(), noise=NoiseConfig(), algo="res")
+    assert (cfg.es.arch, cfg.es.fitness_mode) == ((1, 16, 16, 1), "repro")
+    # an arch given stays; the algo sets the mode over the es section's own
+    es = dataclasses.replace(cfg.es, arch=(1, 3, 1), fitness_mode="repro")
+    cfg = ExperimentConfig(env=tradeoff_spread(), noise=NoiseConfig(), algo="es", es=es)
+    assert (cfg.es.arch, cfg.es.fitness_mode) == ((1, 3, 1), "plain")
 
 
 def test_report_missing_inputs_exit_1(tmp_path, capsys):
@@ -873,6 +933,16 @@ def test_report_keys_cells_by_full_noise_config(tmp_path, capsys):
         ("obs:0.1[sigma=0.1000001]", "1", "4.0"),
         ("param:0.02[resample=per-step]", "1", "2.0"),
     ]
+
+
+def test_report_reads_json_bool_fields_as_bools(tmp_path, capsys):
+    paths = [_noisy_artifact(tmp_path / f"e{i}.json", f"p{i}", [float(i), i + 2.0],
+                             {"kind": "obs", "sigma": 0.1, "obs_affects_reward": flag})
+             for i, flag in enumerate([0, False, 1, True])]
+    assert main(["report", *paths, "--metric", "mean"]) == 0
+    rows = parse_csv(capsys.readouterr().out)
+    assert [(r["noise"], r["n_seeds"]) for r in rows] == [
+        ("obs:0.1", "2"), ("obs:0.1[obs_affects_reward=false]", "2")]
 
 
 def test_report_rows_at_default_noise_keep_their_bytes(tmp_path, capsys):

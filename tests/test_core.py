@@ -186,6 +186,30 @@ def test_eval_record_marginals_round_trip_bit_exact(marginals):
     assert np.array_equal(_bits(back), _bits(marginals))
 
 
+# Edits of a 3-return record with (3, 1) descriptors and (3, 2) state
+# marginals that break its row rules -> the error each must raise
+BAD_RECORD_ROWS = {
+    "marginal-rows": ({"state_marginals": np.zeros((2, 2))}, "state_marginals must be 3 rows"),
+    "marginals-3d": ({"state_marginals": np.zeros((3, 2, 1))}, "state_marginals must be 3 rows"),
+    "nan-returns": ({"returns": np.array([1.0, np.nan, 3.0])}, "returns must be a non-empty"),
+    "descriptor-rows": ({"descriptors": np.zeros((2, 1))}, "descriptors must be 3 rows"),
+}
+
+
+@pytest.mark.parametrize("form", ["list", "binary"])
+@pytest.mark.parametrize("case", BAD_RECORD_ROWS)
+def test_eval_record_from_json_dict_refuses_rows_that_do_not_fit_returns(case, form):
+    edit, error = BAD_RECORD_ROWS[case]
+    arrays = {"returns": np.array([1.0, 2.0, 3.0]), "descriptors": np.zeros((3, 1)),
+              "state_marginals": np.arange(6.0).reshape(3, 2), **edit}
+    rec = EvalRecord(policy_id="p", env_id="e", noise=NoiseConfig(), master_seed=3, **arrays)
+    d = json.loads(json.dumps(rec.to_json_dict()))
+    if form == "list":
+        d["state_marginals"] = arrays["state_marginals"].tolist()
+    with pytest.raises(ValueError, match=error):
+        EvalRecord.from_json_dict(d)
+
+
 def test_forward_zero_network_outputs_zero():
     p = PolicyParams(theta=np.zeros(386), arch=(4, 16, 16, 2))
     out = policy_forward(p, np.array([1.0, -2.0, 0.5, 3.0]))
