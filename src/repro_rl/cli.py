@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import functools
 import glob as globmod
+import hashlib
 import io
 import itertools
 import json
@@ -35,6 +36,11 @@ from .core import (
     NumericFailure,
     Policy,
     PolicyParams,
+    RngStream,
+    as_float,
+    as_int,
+    as_str,
+    cast_field,
     derive_stream,
 )
 from .envs import BUILTIN_ENVS, EnvConfig, point_mass_nav
@@ -110,9 +116,9 @@ class ExperimentConfig(JsonFields):
     constant_action: Optional[tuple] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(cast_field("seeds", as_int, s) for s in self.seeds))
         if self.constant_action is not None:
-            action = tuple(float(x) for x in self.constant_action)
+            action = tuple(cast_field("constant_action", as_float, x) for x in self.constant_action)
             object.__setattr__(self, "constant_action", action)
         if self.algo not in ALGOS:
             raise ConfigError(f"unknown algo {self.algo!r}, valid: {', '.join(ALGOS)}")
@@ -346,9 +352,10 @@ def _load_eval_artifact(path: str) -> Tuple[EvalRecord, str]:
         raise DataError(f"artifact {path} is not an evaluation artifact ({EVAL_SCHEMA})")
     try:
         record = EvalRecord.from_json_dict(raw)
-    except (KeyError, ValueError, TypeError) as e:
+        algo = cast_field("algo", as_str, raw.get("algo", "unknown"))
+    except (ValueError, TypeError) as e:
         raise DataError(f"artifact {path}: {e}") from e
-    return record, raw.get("algo", "unknown")
+    return record, algo
 
 
 def _noise_label(noise: NoiseConfig) -> str:
@@ -359,6 +366,13 @@ def _noise_label(noise: NoiseConfig) -> str:
         f"{k}={str(getattr(noise, k)).lower()}" for k in ("resample", "obs_affects_reward")
         if getattr(noise, k) != getattr(NoiseConfig, k)]
     return f"{label}[{';'.join(extra)}]" if extra else label
+
+
+def _cell_stream(key: tuple) -> RngStream:
+    """A report cell's bootstrap stream, indexed by a 64-bit hash of its key
+    alone, so no other cell, input or `--alphas` value can move it."""
+    digest = hashlib.blake2b(json.dumps(list(key)).encode(), digest_size=8).digest()
+    return derive_stream(0, "report-ci", int.from_bytes(digest, "little"))
 
 
 def _stacked(arrays: list, score) -> list:
@@ -436,16 +450,8 @@ def cmd_report(args) -> int:
         for label, value in values:
             cells.setdefault((*cell, label), {}).setdefault(policy_id, []).append((seed, value))
 
-    # Rows and bootstrap streams follow the cell keys with noise-label suffixes
-    # cut (the keys before suffixes existed), then suffixed cells, then cells of
-    # repr-labelled alphas, so default noise settings and `:g` alphas keep their bytes.
-    late = {_alpha_label(a) for a in alphas} - {f"lcb[alpha={a:g}]" for a in alphas}
-    bases = sorted({(*k[:2], k[2].split("[")[0], k[3]) for k in cells if k[3] not in late})
-    rank = {k: i for i, k in enumerate(bases + sorted(
-        (k for k in cells if "[" in k[2] or k[3] in late), key=lambda k: (k[3] in late, k)))}
     rows = []
-    for key in sorted(cells, key=rank.get):
-        idx = rank[key]
+    for key in sorted(cells):
         # One entry per training run: the mean over its eval seeds (one block per
         # count), keyed by the smallest, so re-seeded evaluations are not runs.
         runs = [sorted(evals) for evals in cells[key].values()]
@@ -454,7 +460,7 @@ def cmd_report(args) -> int:
         values = np.array([m for _, m in sorted((e[0][0], m) for e, [(_, m)] in zip(runs, means))])
         try:
             ci = stratified_bootstrap([values], aggregate="iqm", n_resamples=args.n_resamples,
-                                      stream=derive_stream(0, "report-ci", idx))
+                                      stream=_cell_stream(key))
         except MemoryError as e:
             raise ConfigError(f"--n-resamples {args.n_resamples} does not fit in memory") from e
         rows.append((*key, len(values), repr(ci.point), repr(ci.lo), repr(ci.hi)))

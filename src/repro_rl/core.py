@@ -61,15 +61,60 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
         raise ValueError(f"{name} contains non-finite values")
 
 
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def _typed(v, types: tuple, what: str):
+    """`v`, or a TypeError unless it is one of `types`; a bool passes only as `bool`."""
+    if not isinstance(v, types) or isinstance(v, bool) and bool not in types:
+        raise TypeError(f"expected {what}, got {v!r}")
+    return v
+
+
+def as_float(v) -> float:
+    """`v` as a float; a TypeError unless it is a number, a ValueError past float range."""
+    try:
+        return float(_typed(v, _NUMBERS, "a number"))
+    except OverflowError:
+        raise ValueError(f"expected a number in float range, got {v!r}") from None
+
+
+def as_int(v) -> int:
+    """`v` as an int; a TypeError unless it is a number, a ValueError unless it is integral."""
+    if isinstance(_typed(v, _NUMBERS, "an integer"), (int, np.integer)) or as_float(v).is_integer():
+        return int(v)
+    raise ValueError(f"expected an integer, got {v!r}")
+
+
+def as_str(v) -> str:
+    """`v`, or a TypeError unless it is a string."""
+    return _typed(v, (str,), "a string")
+
+
+def _as_bool(v) -> bool:
+    if _typed(v, (bool, int), "true, false, 0 or 1") not in (0, 1):
+        raise ValueError(f"expected true, false, 0 or 1, got {v!r}")
+    return bool(v)
+
+
+def cast_field(name: str, cast, v):
+    """`cast(v)`, its TypeError or ValueError naming field `name`."""
+    try:
+        return cast(v)
+    except (TypeError, ValueError) as e:
+        raise (TypeError if isinstance(e, TypeError) else ValueError)(f"{name}: {e}") from None
+
+
 # JSON value -> field value, by the field's annotation (a string, as every
-# module here uses `from __future__ import annotations`); other annotations
-# take the JSON value as it is.
+# module here uses `from __future__ import annotations`); a value of another
+# JSON type is a TypeError. Other annotations take the JSON value as it is.
 _JSON_CASTS = {
-    "bool": bool,
-    "int": int,
-    "float": float,
-    "tuple": tuple,
-    "Optional[tuple]": lambda v: None if v is None else tuple(v),
+    "bool": _as_bool,
+    "int": as_int,
+    "float": as_float,
+    "str": as_str,
+    "tuple": lambda v: tuple(_typed(v, (list, tuple), "a list")),
+    "Optional[tuple]": lambda v: None if v is None else _JSON_CASTS["tuple"](v),
     "np.ndarray": lambda v: np.asarray(v, dtype=np.float64),
 }
 
@@ -95,7 +140,8 @@ class JsonFields:
 
     Tuples and arrays become lists. On load a missing key takes the field
     default, unknown keys are ignored and values are cast by annotation
-    (`int`, `float`, `tuple`, `Optional[tuple]`, `np.ndarray`).
+    (`bool`, `int`, `float`, `str`, `tuple`, `Optional[tuple]`, `np.ndarray`);
+    a value the cast refuses is a TypeError or ValueError naming the field.
     """
 
     def to_json_dict(self, **given) -> dict:
@@ -111,7 +157,7 @@ class JsonFields:
             raise TypeError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
         for name, cast in _field_casts(cls):
             if name in d and name not in given:
-                given[name] = cast(d[name])
+                given[name] = cast_field(name, cast, d[name])
         return cls(**given)
 
 
@@ -472,13 +518,18 @@ class EvalRecord(JsonFields):
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EvalRecord":
-        """Record from an eval artifact's JSON; a ValueError unless the returns
-        are a non-empty 1-D array of finite numbers and the descriptors and
-        state marginals, when present, are 2-D with one finite row per return."""
+        """Record from an eval artifact's JSON; a ValueError unless `env` and
+        `noise` are present, the returns are a non-empty 1-D array of finite
+        numbers and the descriptors and state marginals, when present, are 2-D
+        with one finite row per return."""
         from .noise import NoiseConfig
 
+        missing = [k for k in ("env", "noise") if k not in d]
+        if missing:
+            raise ValueError(f"eval record needs {' and '.join(map(repr, missing))}")
         record = super().from_json_dict(
-            d, env_id=d["env"], noise=NoiseConfig.from_json_dict(d["noise"]),
+            d, env_id=cast_field("env", as_str, d["env"]),
+            noise=NoiseConfig.from_json_dict(d["noise"]),
             state_marginals=_f8_array(d.get("state_marginals")),
         )
         n = record.returns.shape[0] if record.returns.ndim == 1 else 0
@@ -507,13 +558,13 @@ def _f8_array(v) -> Optional[np.ndarray]:
     nested lists (the older form) are read as they were."""
     if not isinstance(v, dict):
         return None if v is None else np.asarray(v, dtype=np.float64)
-    shape = v["shape"]
+    shape, dtype = v.get("shape"), v.get("dtype")
     try:
-        data = binascii.a2b_base64(v["base64"], strict_mode=True)
+        data = binascii.a2b_base64(v.get("base64"), strict_mode=True)
     except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
         raise ValueError(f"state_marginals base64: {e}") from None
-    if v["dtype"] != "<f8" or not isinstance(shape, list) or not all(
+    if dtype != "<f8" or not isinstance(shape, list) or not all(
             type(k) is int and k >= 0 for k in shape) or len(data) != 8 * math.prod(shape):
         raise ValueError(f"state_marginals needs dtype '<f8', a shape of non-negative ints and "
-                         f"8 bytes per value, got {v['dtype']!r}, {shape!r} and {len(data)} bytes")
+                         f"8 bytes per value, got {dtype!r}, {shape!r} and {len(data)} bytes")
     return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)

@@ -18,7 +18,9 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from .core import EvalRecord
-from .stats import DISPERSION, PERFORMANCE, _lookup, dispersion, iqr, mad, performance
+from .stats import (
+    DISPERSION, PERFORMANCE, _lookup, dispersion, iqr, mad, middle_values, performance,
+)
 
 PERF_ESTIMATORS = tuple(PERFORMANCE)
 DISP_ESTIMATORS = tuple(DISPERSION)
@@ -202,14 +204,13 @@ def _near_median(w: np.ndarray, eps: float, exact):
     None when over a quarter of v is needed. v's median order statistics lie
     among the v whose w is within 2 eps of w's; those below are smaller."""
     k0, k1 = (len(w) - 1) // 2, len(w) // 2
-    part = np.partition(w, k0)  # one kth: several cost one selection each
-    lo, hi = np.nextafter([part[k0] - 2 * eps, part[k1:].min() + 2 * eps], [-np.inf, np.inf])
-    del part
+    mid = middle_values(w)
+    lo, hi = np.nextafter([mid[0] - 2 * eps, mid[-1] + 2 * eps], [-np.inf, np.inf])
     idx = np.flatnonzero((w >= lo) & (w <= hi))
     if len(idx) > len(w) // 4:
         return None
     below, near = np.count_nonzero(w < lo), np.sort(exact(idx))
-    return np.median(near[k0 - below : k1 - below + 1])
+    return PERFORMANCE["median"](near[k0 - below : k1 - below + 1])
 
 
 def behavioural_mad(descriptors: np.ndarray) -> float:

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import JsonFields
+from .core import JsonFields, as_float, cast_field
 from .envs import EnvConfig
 
 _DEFAULT_SIGMA = {
@@ -77,7 +77,8 @@ class NoiseConfig(JsonFields):
                 f"unknown resample mode {self.resample!r}, "
                 f"valid modes: {', '.join(RESAMPLE_MODES)}"
             )
-        sigma = float(default if self.sigma is None else self.sigma)
+        # + 0.0 reads -0.0 as 0.0, so the two are one setting
+        sigma = cast_field("sigma", as_float, default if self.sigma is None else self.sigma) + 0.0
         if not np.isfinite(sigma) or sigma < 0.0:
             raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
         if self.kind == "none" and sigma != 0.0:

@@ -39,6 +39,24 @@ def _trimmed_mean(arr: np.ndarray) -> np.ndarray:
     return np.mean(np.sort(arr, axis=-1)[..., trim : n - trim], axis=-1)
 
 
+def middle_values(a: np.ndarray) -> np.ndarray:
+    """The middle order statistic of each sample along the last axis, or the
+    two of an even count, as a last axis of 1 or 2 values: from one partition
+    at the lower middle rank and a min over the part above it."""
+    n = a.shape[-1]
+    k = (n - 1) // 2
+    part = np.partition(a, k, axis=-1)
+    mid = part[..., k : k + 2 - n % 2].copy()  # a copy, so the partition is freed
+    if n % 2 == 0:
+        mid[..., 1] = part[..., k + 1 :].min(axis=-1)
+    return mid
+
+
+def _median(a: np.ndarray) -> np.ndarray:
+    # np.median, bit for bit: the mean of the middle values, as np.median takes it.
+    return np.mean(middle_values(a), axis=-1)
+
+
 @dataclass(frozen=True)
 class Quartiles:
     q1: float
@@ -52,11 +70,11 @@ class Quartiles:
 Estimator = Callable[[np.ndarray], np.ndarray]
 PERFORMANCE: Dict[str, Estimator] = {
     "mean": lambda a: np.mean(a, axis=-1),
-    "median": lambda a: np.median(a, axis=-1),
+    "median": _median,
     "iqm": _trimmed_mean,
 }
 DISPERSION: Dict[str, Estimator] = {
-    "mad": lambda a: np.median(np.abs(a - np.median(a, axis=-1, keepdims=True)), axis=-1),
+    "mad": lambda a: _median(np.abs(a - _median(a)[..., None])),
     "iqr": lambda a: np.subtract(*np.quantile(a, [0.75, 0.25], axis=-1)),
     "std": lambda a: np.std(a, axis=-1, ddof=1),
 }

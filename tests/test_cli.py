@@ -1,6 +1,7 @@
 import base64
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -32,6 +33,7 @@ from repro_rl.metrics import (
     state_marginal_repro,
 )
 from repro_rl.noise import NoiseConfig
+from repro_rl.optim import EsConfig
 from repro_rl.stats import PERFORMANCE, stratified_bootstrap
 
 TINY_CONFIG = {
@@ -441,7 +443,7 @@ def test_report_lcb_rows_equal_library_lcb(tmp_path, capsys, perf, disp):
 def test_report_lcb_keeps_alphas_that_g_rounds_alike_apart(tmp_path, capsys):
     # 1 and 1.0000001 both read "1" by `:g`; they used to share one cell, whose
     # point averaged their LCBs (20.99999995 here). An alpha that `:g` rounds is
-    # labelled by repr and its cells follow the rest, which keep their bytes.
+    # labelled by repr and gets cells of its own; the other rows keep their bytes.
     paths = [_make_eval_artifact(tmp_path / "e.json", "p0", [1.0, 2.0, 3.0, 4.0, 100.0])]
     paths += [_make_eval_artifact(tmp_path / f"q{s}.json", f"q{s}", list(
         np.random.default_rng(s).normal(5.0, 2.0, 8)), seed=s, algo="es") for s in range(4)]
@@ -452,11 +454,11 @@ def test_report_lcb_keeps_alphas_that_g_rounds_alike_apart(tmp_path, capsys):
         return parse_csv(capsys.readouterr().out)
 
     plain, split = report("1,2"), report("1,1.0000001,2")
-    assert split[: len(plain)] == plain
-    assert [(r["algo"], r["metric"]) for r in split[len(plain):]] == [
+    assert all(r in split for r in plain)
+    assert [(r["algo"], r["metric"]) for r in split if r not in plain] == [
         ("es", "lcb[alpha=1.0000001]"), ("scripted", "lcb[alpha=1.0000001]")]
     assert [r["point"] for r in split if r["algo"] == "scripted"] == [
-        "21.0", "20.0", repr(22.0 - 1.0000001)]
+        repr(22.0 - 1.0000001), "21.0", "20.0"]
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):
@@ -750,6 +752,7 @@ BAD_MARGINAL_PAYLOADS = {
     "dtype-f4": _f8_payload(range(6), [3, 2], dtype="<f4"),
     "missing-base64": {"dtype": "<f8", "shape": [3, 2]},
     "missing-dtype": {"shape": [3, 2], "base64": _GOOD_B64},
+    "missing-shape": {"dtype": "<f8", "base64": _GOOD_B64},
     "shape-not-list": _f8_payload(range(6), 6),
     "shape-negative": _f8_payload([], [3, -2]),
     "shape-float": _f8_payload(range(6), [3.0, 2]),
@@ -925,12 +928,12 @@ def test_report_keys_cells_by_full_noise_config(tmp_path, capsys):
              for i, noise in enumerate(noises)]
     assert main(["report", *paths, "--metric", "mean"]) == 0
     rows = parse_csv(capsys.readouterr().out)
-    # labels a suffix extends follow every plain label
+    # rows sorted by cell: a label a suffix extends follows its plain label
     assert [(r["noise"], r["n_seeds"], r["point"]) for r in rows] == [
         ("obs:0.1", "1", "3.0"),
-        ("param:0.02", "1", "1.0"),
         ("obs:0.1[obs_affects_reward=false]", "1", "5.0"),
         ("obs:0.1[sigma=0.1000001]", "1", "4.0"),
+        ("param:0.02", "1", "1.0"),
         ("param:0.02[resample=per-step]", "1", "2.0"),
     ]
 
@@ -949,7 +952,7 @@ def test_report_rows_at_default_noise_keep_their_bytes(tmp_path, capsys):
     # Default-setting cells read as they did when labels dropped resample:
     # beside a suffixed cell of the same kind:sigma (dynamics), and after a
     # kind:sigma that only suffixed artifacts have (obs), which used to take
-    # a row and a bootstrap stream of its own. Suffixed rows come last.
+    # a row of its own. Rows are sorted by cell.
     gen = np.random.default_rng(11)
     paths = []
     for kind, modes in [("action", ["per-episode"]), ("dynamics", ["per-episode", "per-step"]),
@@ -963,14 +966,173 @@ def test_report_rows_at_default_noise_keep_their_bytes(tmp_path, capsys):
     got = parse_csv(capsys.readouterr().out)
     want = {r["noise"]: r for r in parse_csv(_reference_report(paths, "iqm", n_resamples=200))}
     assert [r["noise"] for r in got] == [
-        "action:0.2", "dynamics:0.2", "reward:0.2",
-        "dynamics:0.2[resample=per-step]", "obs:0.2[resample=per-step]",
+        "action:0.2", "dynamics:0.2", "dynamics:0.2[resample=per-step]",
+        "obs:0.2[resample=per-step]", "reward:0.2",
     ]
-    assert got[0] == want["action:0.2"] and got[2] == want["reward:0.2"]
+    assert got[0] == want["action:0.2"] and got[4] == want["reward:0.2"]
     # the merged cell is split; the obs cell keeps its point under a new label
     assert got[1]["point"] != want["dynamics:0.2"]["point"]
     obs = want["obs:0.2"]
-    assert (got[4]["n_seeds"], got[4]["point"]) == (obs["n_seeds"], obs["point"])
+    assert (got[3]["n_seeds"], got[3]["point"]) == (obs["n_seeds"], obs["point"])
+
+
+# Artifacts beside a report cell's own that used to move its bootstrap stream,
+# which was the cell's rank among all cells: cells of an env, algo or noise
+# kind that sort first, and a suffixed noise cell whose kind:sigma is new.
+ROW_NEIGHBOURS = {
+    "env": {"env": "aaa-env"},
+    "algo": {"algo": "a2c"},
+    "noise-kind": {"noise": {"kind": "action", "sigma": 0.2}},
+    "suffixed-noise": {"noise": {"kind": "action", "sigma": 0.2, "resample": "per-step"}},
+}
+
+
+def _point_mass_artifacts(tmp_path, tag, edit):
+    gen = np.random.default_rng(len(tag))
+    paths = []
+    for p in range(6):
+        path = _make_eval_artifact(tmp_path / f"{tag}{p}.json", f"{tag}{p}",
+                                   list(gen.normal(0.0, 1.0, 8)), algo="es")
+        _patch_artifact(path, **{"env": "point-mass-nav", **edit})
+        paths.append(path)
+    return paths
+
+
+def _report_lines(capsys, paths, metric, alphas="0.5"):
+    assert main(["report", *paths, "--metric", metric, "--alphas", alphas,
+                 "--n-resamples", "200"]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("metric", ["mean", "lcb"])
+@pytest.mark.parametrize("case", ROW_NEIGHBOURS)
+def test_report_row_bytes_do_not_depend_on_other_cells(tmp_path, capsys, case, metric):
+    own = _point_mass_artifacts(tmp_path, "own", {})
+    alone = _report_lines(capsys, own, metric)
+    both = _report_lines(capsys, own + _point_mass_artifacts(tmp_path, "other",
+                                                             ROW_NEIGHBOURS[case]), metric)
+    assert len(alone) == 2 and len(both) == 3
+    assert alone[1] in both
+
+
+def test_report_lcb_row_bytes_do_not_depend_on_other_alphas(tmp_path, capsys):
+    own = _point_mass_artifacts(tmp_path, "own", {})
+    alone = _report_lines(capsys, own, "lcb", "0.5")
+    more = _report_lines(capsys, own, "lcb", "0.25,0.5,1.0000001")
+    assert len(more) == 4 and alone[1] in more
+
+
+def test_report_rows_are_sorted_by_cell(tmp_path, capsys):
+    paths = _point_mass_artifacts(tmp_path, "own", {})
+    for case, edit in ROW_NEIGHBOURS.items():
+        paths += _point_mass_artifacts(tmp_path, case, edit)
+    rows = parse_csv("\n".join(_report_lines(capsys, paths, "lcb", "1.0000001,0.25,1")))
+    keys = [(r["env"], r["algo"], r["noise"], r["metric"]) for r in rows]
+    assert keys == sorted(keys) and len(keys) == 15
+
+
+# Config values of the wrong JSON type for their field, by section ("" is the
+# top level); the field is the edit's last key.
+MISTYPED_CONFIGS = {
+    "record_state_marginal-string": ("", {"record_state_marginal": "false"}),
+    "obs_affects_reward-string": ("noise", {"kind": "obs", "obs_affects_reward": "false"}),
+    "popsize-fraction": ("es", {"popsize": 8.5}),
+    "generations-string": ("es", {"generations": "3"}),
+    "seeds-fraction": ("", {"seeds": [1.7]}),
+    "n_evals-bool": ("", {"n_evals": True}),
+    "sigma-string": ("noise", {"kind": "obs", "sigma": "0.1"}),
+}
+CONFIG_SECTIONS = {"": ExperimentConfig, "noise": NoiseConfig, "es": EsConfig}
+
+
+@pytest.mark.parametrize("case", MISTYPED_CONFIGS)
+def test_mistyped_config_value_is_refused_naming_the_field(tmp_path, capsys, case):
+    section, edit = MISTYPED_CONFIGS[case]
+    field = list(edit)[-1]
+    with pytest.raises((TypeError, ValueError, ConfigError), match=f"^{field}: "):
+        CONFIG_SECTIONS[section].from_json_dict(edit)
+    cfg = {section: {**TINY_CONFIG[section], **edit}} if section else edit
+    rc = main(["train", "--config", write_config(tmp_path / "c.json", **cfg),
+               "--out", str(tmp_path / "runs")])
+    err = capsys.readouterr().err
+    assert (rc, err.count("\n")) == (2, 1) and err.startswith(f"error: {field}: ")
+    assert not (tmp_path / "runs").exists()
+
+
+def test_config_types_check_values_built_in_code():
+    with pytest.raises(TypeError, match="^sigma: expected a number, got '0.1'"):
+        NoiseConfig(kind="obs", sigma="0.1")
+    with pytest.raises(ValueError, match="^seeds: expected an integer, got 1.7"):
+        ExperimentConfig(env=tradeoff_spread(), noise=NoiseConfig(), seeds=(0, 1.7))
+    cfg = ExperimentConfig(env=tradeoff_spread(), noise=NoiseConfig(), seeds=(np.int64(3), 4.0))
+    assert cfg.seeds == (3, 4) and all(type(s) is int for s in cfg.seeds)
+
+
+def test_config_bool_and_int_fields_take_their_json_forms():
+    for flag, want in [(0, False), (1, True), (False, False), (True, True)]:
+        assert NoiseConfig.from_json_dict({"obs_affects_reward": flag}).obs_affects_reward is want
+    for bad in (2, -1, 0.0, "true", None):
+        with pytest.raises((TypeError, ValueError), match="^obs_affects_reward: "):
+            NoiseConfig.from_json_dict({"obs_affects_reward": bad})
+    assert EsConfig.from_json_dict({"popsize": 8.0, "generations": 3}) == EsConfig(
+        popsize=8, generations=3)
+    for bad, error in [("8", TypeError), ([8], TypeError), (True, TypeError),
+                       (8.5, ValueError), (float("inf"), ValueError)]:
+        with pytest.raises(error, match="^popsize: "):
+            EsConfig.from_json_dict({"popsize": bad})
+    with pytest.raises(ValueError, match="^lr: expected a number in float range"):
+        EsConfig.from_json_dict({"lr": 10**400})
+
+
+# Eval artifact values of the wrong JSON type for their field.
+MISTYPED_ARTIFACTS = {
+    "algo-number": {"algo": 5},
+    "algo-list": {"algo": ["es"]},
+    "env-list": {"env": ["flat-mean-spread"]},
+    "policy_id-list": {"policy_id": ["x"]},
+    "master_seed-fraction": {"master_seed": 1.5},
+    "sigma-string": {"noise": {"kind": "obs", "sigma": "0.1"}},
+    "obs_affects_reward-string": {"noise": {"kind": "obs", "obs_affects_reward": "false"}},
+}
+
+
+@pytest.mark.parametrize("command", [["report", "--metric", "mean"], ["pareto"]],
+                         ids=["report", "pareto"])
+@pytest.mark.parametrize("case", MISTYPED_ARTIFACTS)
+def test_mistyped_artifact_value_exits_1_naming_the_artifact(tmp_path, capsys, case, command):
+    good = _make_eval_artifact(tmp_path / "a.json", "p0", [1.0, 2.0], algo="es")
+    bad = _make_eval_artifact(tmp_path / "b.json", "p1", [3.0, 4.0])
+    _patch_artifact(bad, **MISTYPED_ARTIFACTS[case])
+    if "algo" not in MISTYPED_ARTIFACTS[case]:  # algo is the CLI's, not the record's
+        with pytest.raises((TypeError, ValueError)):
+            EvalRecord.from_json_dict(read_json(bad))
+    rc = main([command[0], good, bad, *command[1:]])
+    err = capsys.readouterr().err
+    assert (rc, err.count("\n")) == (1, 1) and err.startswith(f"error: artifact {bad}: ")
+
+
+@pytest.mark.parametrize("key", ["env", "noise"])
+def test_artifact_without_env_or_noise_exits_1(tmp_path, capsys, key):
+    path = _make_eval_artifact(tmp_path / "e.json", "p0", [1.0, 2.0])
+    art = read_json(path)
+    del art[key]
+    with pytest.raises(ValueError, match=f"eval record needs '{key}'"):
+        EvalRecord.from_json_dict(art)
+    (tmp_path / "e.json").write_text(json.dumps(art))
+    assert main(["report", path, "--metric", "mean"]) == 1
+    assert capsys.readouterr().err == f"error: artifact {path}: eval record needs '{key}'\n"
+
+
+def test_negative_zero_sigma_is_zero_sigma(tmp_path, capsys):
+    for noise in (NoiseConfig(kind="obs", sigma=-0.0),
+                  NoiseConfig.from_json_dict({"kind": "obs", "sigma": -0.0})):
+        assert str(noise.sigma) == "0.0"
+    paths = [_noisy_artifact(tmp_path / f"e{i}.json", f"p{i}", [float(i), i + 2.0],
+                             {"kind": "obs", "sigma": sigma})
+             for i, sigma in enumerate([0.0, -0.0])]
+    assert main(["report", *paths, "--metric", "mean"]) == 0
+    rows = parse_csv(capsys.readouterr().out)
+    assert [(r["noise"], r["n_seeds"]) for r in rows] == [("obs:0", "2")]
 
 
 # The per-artifact report path that came before blocked scoring, restated as
@@ -989,6 +1151,13 @@ def _reference_scores(record, metric, alphas, cfg):
     return [(metric, stat(record.descriptors))]
 
 
+def _key_index(key):
+    # a cell's bootstrap stream index: the first 8 bytes of the blake2b hash of
+    # its key as a JSON list, little-endian
+    return int.from_bytes(hashlib.blake2b(json.dumps(list(key)).encode(), digest_size=8)
+                          .digest(), "little")
+
+
 def _reference_report(files, metric, alphas=(0.0,), cfg=LcbConfig(), n_resamples=2000, fmt="csv"):
     cells = {}
     for path in files:
@@ -1001,14 +1170,14 @@ def _reference_report(files, metric, alphas=(0.0,), cfg=LcbConfig(), n_resamples
             runs.setdefault(record.policy_id, []).append((record.master_seed, value))
     header = ["env", "algo", "noise", "metric", "n_seeds", "point", "ci_lo", "ci_hi"]
     rows = []
-    for idx, key in enumerate(sorted(cells)):
+    for key in sorted(cells):
         pairs = sorted(
             (min(evals)[0], float(PERFORMANCE["mean"](np.array([v for _, v in sorted(evals)]))))
             for evals in cells[key].values()
         )
         values = np.array([v for _, v in pairs])
         ci = stratified_bootstrap([values], "iqm", n_resamples,
-                                  stream=derive_stream(0, "report-ci", idx))
+                                  stream=derive_stream(0, "report-ci", _key_index(key)))
         rows.append(dict(zip(header, [*key, len(values), repr(ci.point), repr(ci.lo),
                                       repr(ci.hi)])))
     return _table_text(rows, header, fmt)

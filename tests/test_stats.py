@@ -242,3 +242,33 @@ def test_estimator_on_block_equals_each_row(table, kind, n):
     got = table[kind](block)
     assert got.shape == (6,)
     assert np.array_equal(got, [table[kind](row) for row in block])
+
+
+def _median_grid():
+    gen = np.random.default_rng(7)
+    special = np.array([0.0, -0.0, 1e308, -1e308, 1.0, -1.0])
+    for n in (1, 2, 3, 4, 5, 8, 9, 64, 65):
+        yield gen.normal(size=n)
+        yield gen.integers(-2, 3, n).astype(float)  # ties
+        yield gen.choice(special, n)  # signed zeros, and means that overflow
+        yield np.full(n, -0.0)
+        yield gen.choice(special, (6, n))  # blocks
+        yield gen.uniform(-1.5, 1.5, (5, n)) * gen.choice([1.0, 1e308], (5, 1))
+
+
+@pytest.mark.parametrize("a", list(_median_grid()), ids=lambda a: f"{a.shape}")
+def test_median_and_mad_equal_numpy_median_bit_for_bit(a):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_median = np.median(a, axis=-1)
+        want_mad = np.median(np.abs(a - np.median(a, axis=-1, keepdims=True)), axis=-1)
+        got_median, got_mad = PERFORMANCE["median"](a), DISPERSION["mad"](a)
+    assert np.shape(got_median) == np.shape(want_median)
+    assert np.asarray(got_median).tobytes() == np.asarray(want_median).tobytes()
+    assert np.asarray(got_mad).tobytes() == np.asarray(want_mad).tobytes()
+
+
+def test_middle_values_are_the_middle_order_statistics():
+    a = np.array([[5.0, 1.0, 4.0, 2.0], [0.0, 9.0, 9.0, 3.0]])
+    assert stats.middle_values(a).tolist() == [[2.0, 4.0], [3.0, 9.0]]
+    assert stats.middle_values(a[:, :3]).tolist() == [[4.0], [9.0]]
+    assert stats.middle_values(np.array([-0.0])).tolist() == [-0.0]
