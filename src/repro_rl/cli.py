@@ -290,11 +290,11 @@ def _load_policy_file(path: str) -> Tuple[Policy, str, Optional[str]]:
         raise DataError(f"policy file {path} is not a JSON object")
     try:
         policy = policy_from_json_dict(raw)
+        algo = cast_field("algo", as_str, raw["algo"]) if "algo" in raw else None
     except (TypeError, ValueError) as e:
         raise DataError(f"policy file {path} is malformed: {e}") from e
-    algo = raw.get("algo")
     if raw.get("schema") == RUN_SCHEMA:
-        policy_id = f"{raw.get('algo', 'run')}-seed{raw.get('seed', 0)}"
+        policy_id = f"{'run' if algo is None else algo}-seed{raw.get('seed', 0)}"
     else:
         policy_id = os.path.splitext(os.path.basename(path))[0]
     return policy, policy_id, algo

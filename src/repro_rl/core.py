@@ -15,6 +15,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from itertools import chain
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -91,6 +92,32 @@ def as_str(v) -> str:
     return _typed(v, (str,), "a string")
 
 
+def as_array(v) -> np.ndarray:
+    """`v`, nested lists of numbers, as a float64 array; a TypeError unless
+    each leaf is a number (a bool or a string is not), a ValueError unless
+    the lists of each level have one length and the numbers are in float range."""
+    if not isinstance(v, list):
+        raise TypeError(f"expected nested lists of numbers, got {v!r}")
+    items, shape, kinds = v, [len(v)], set(map(type, v))
+    while kinds == {list}:
+        lengths = set(map(len, items))
+        if len(lengths) > 1:
+            raise ValueError(f"expected lists of one length, got lengths {sorted(lengths)}")
+        shape.append(lengths.pop())
+        items = list(chain.from_iterable(items))
+        kinds = set(map(type, items))
+    if not kinds <= {float, int}:
+        for t in kinds:
+            if t is bool or not issubclass(t, _NUMBERS):
+                leaf = next(x for x in items if type(x) is t)
+                raise TypeError(f"expected nested lists of numbers, got {leaf!r}")
+    try:
+        a = np.array(items, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("expected numbers in float range") from None
+    return a if len(shape) == 1 else a.reshape(shape)
+
+
 def _as_bool(v) -> bool:
     if _typed(v, (bool, int), "true, false, 0 or 1") not in (0, 1):
         raise ValueError(f"expected true, false, 0 or 1, got {v!r}")
@@ -115,7 +142,7 @@ _JSON_CASTS = {
     "str": as_str,
     "tuple": lambda v: tuple(_typed(v, (list, tuple), "a list")),
     "Optional[tuple]": lambda v: None if v is None else _JSON_CASTS["tuple"](v),
-    "np.ndarray": lambda v: np.asarray(v, dtype=np.float64),
+    "np.ndarray": as_array,
 }
 
 
@@ -217,31 +244,41 @@ Policy = Union[PolicyParams, ConstantPolicy]
 def dense_layers(theta: np.ndarray, arch: tuple) -> list:
     """Views (W, b) of each layer of flat parameters `theta`.
 
-    `theta` is one vector of shape (P,) or one per row, shape (..., P); the
-    views then have shapes (..., n_in, n_out) and (..., n_out).
+    `theta` is one vector (P,), giving views (n_in, n_out) and (n_out,), or
+    feature-major columns (P, rows), one column shared by all rows or one
+    per row, giving views (n_in, n_out, rows) and (n_out, rows).
     """
-    lead = theta.shape[:-1]
+    rows = theta.shape[1:]
     layers = []
     offset = 0
     for n_in, n_out in zip(arch[:-1], arch[1:]):
-        w = theta[..., offset : offset + n_in * n_out].reshape(*lead, n_in, n_out)
+        w = theta[offset : offset + n_in * n_out].reshape(n_in, n_out, *rows)
         offset += n_in * n_out
-        layers.append((w, theta[..., offset : offset + n_out]))
+        layers.append((w, theta[offset : offset + n_out]))
         offset += n_out
     return layers
 
 
 def dense_forward(layers: list, activation: str, x: np.ndarray) -> np.ndarray:
-    """Forward pass of observation rows `x` (..., n_in) through `layers`.
+    """Forward pass of feature-major observations `x` (n_in, rows) through
+    the `dense_layers` of parameter columns; returns (n_out, rows).
 
     Each output sums its inputs in index order (einsum, not BLAS), so a row's
     bits do not depend on how many rows run together or on whether the
-    weights are shared by all rows or given per row.
+    weights are shared by all rows or given per row. With rows on the inner,
+    contiguous axis, einsum adds each input's products to all rows at once.
+    A one-output layer would take another kernel at one row than at more, so
+    it keeps a dot product per row on a row-major copy.
     """
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = np.einsum("...i,...io->...o", x, w) + b
-        x = np.tanh(z) if i == last or activation == "tanh" else np.maximum(z, 0.0)
+        if w.shape[1] == 1:
+            w = np.ascontiguousarray(w.transpose(2, 0, 1))
+            z = np.einsum("...i,...io->...o", np.ascontiguousarray(x.T), w).T
+        else:
+            z = np.einsum("io...,i...->o...", w, x)
+        z += b
+        x = np.tanh(z, out=z) if i == last or activation == "tanh" else np.maximum(z, 0.0, out=z)
     return x
 
 
@@ -253,7 +290,8 @@ def policy_forward(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
             f"obs must have shape ({params.arch[0]},), got {obs.shape}"
         )
     _require_finite("obs", obs)
-    return dense_forward(dense_layers(params.theta, params.arch), params.activation, obs)
+    layers = dense_layers(params.theta[:, None], params.arch)
+    return dense_forward(layers, params.activation, obs[:, None])[:, 0]
 
 
 @lru_cache(maxsize=256)
@@ -533,12 +571,12 @@ class EvalRecord(JsonFields):
             state_marginals=_f8_array(d.get("state_marginals")),
         )
         n = record.returns.shape[0] if record.returns.ndim == 1 else 0
-        if n < 1 or not np.all(np.isfinite(record.returns)):
+        if n < 1 or not np.isfinite(record.returns).all():
             raise ValueError("returns must be a non-empty list of finite numbers")
         for name in ("descriptors", "state_marginals"):
             rows = getattr(record, name)
             if rows is not None and (
-                rows.ndim != 2 or rows.shape[0] != n or not np.all(np.isfinite(rows))
+                rows.ndim != 2 or rows.shape[0] != n or not np.isfinite(rows).all()
             ):
                 raise ValueError(
                     f"{name} must be {n} rows of finite numbers, got shape {rows.shape}"
@@ -554,10 +592,10 @@ def _f8_json(a: np.ndarray) -> dict:
 
 
 def _f8_array(v) -> Optional[np.ndarray]:
-    """Writable float64 array of a `_f8_json` object, bit for bit; None and
-    nested lists (the older form) are read as they were."""
+    """Writable float64 array of a `_f8_json` object, bit for bit; None is
+    None, and nested lists of numbers (the older form) go through `as_array`."""
     if not isinstance(v, dict):
-        return None if v is None else np.asarray(v, dtype=np.float64)
+        return None if v is None else cast_field("state_marginals", as_array, v)
     shape, dtype = v.get("shape"), v.get("dtype")
     try:
         data = binascii.a2b_base64(v.get("base64"), strict_mode=True)

@@ -8,6 +8,10 @@ Two families:
   action, r = mean_base + mean_slope * a + spread_max * a * U with
   U ~ Uniform(-1, 1). The spread term makes return dispersion controllable
   by the policy, which is what the trade-off metrics need.
+
+`transition` and `reward` index features on the first axis: one state is a
+vector, and the rollout engine's feature-major blocks carry their rows on
+the axes after it.
 """
 
 from __future__ import annotations
@@ -135,15 +139,16 @@ def _check_action(cfg: EnvConfig, action: np.ndarray) -> np.ndarray:
 
 
 def transition(cfg: EnvConfig, vec: np.ndarray, action: np.ndarray) -> np.ndarray:
-    """Next state of state rows `vec` (..., state_dim) under actions
-    (..., action_dim). Deterministic: the bandit's own draw enters the
-    reward, not the state."""
+    """Next state of state `vec` (state_dim, ...) under `action` (action_dim,
+    ...). Features are on the first axis, so one state is a vector and a
+    block of them has rows on the axes after it. Deterministic: the bandit's
+    own draw enters the reward, not the state."""
     if cfg.family == "point-mass":
-        vel = vec[..., 2:] + action * cfg.dt
-        vx, vy = vel[..., 0], vel[..., 1]
+        vel = vec[2:] + action * cfg.dt
+        vx, vy = vel[0], vel[1]
         # Scales by exactly 1.0 at or below the cap.
-        vel *= (cfg.v_max / np.maximum(np.sqrt(vx * vx + vy * vy), cfg.v_max))[..., None]
-        return np.concatenate([vec[..., :2] + vel * cfg.dt, vel], axis=-1)
+        vel *= cfg.v_max / np.maximum(np.sqrt(vx * vx + vy * vy), cfg.v_max)
+        return np.concatenate([vec[:2] + vel * cfg.dt, vel])
     return vec.copy()
 
 
@@ -154,13 +159,14 @@ def reward(
     next_vec: np.ndarray,
     u: Union[np.ndarray, float],
 ) -> Union[np.ndarray, float]:
-    """Reward of rows (s_t, a_t, s_{t+1}) plus the env draw `u`, the bandit's
-    Uniform(-1, 1) (unused by point-mass)."""
+    """Reward of (s_t, a_t, s_{t+1}) plus the env draw `u`, the bandit's
+    Uniform(-1, 1) (unused by point-mass). Features are on the first axis, as
+    in `transition`; the reward has the shape of the axes after it."""
     if cfg.family == "point-mass":
-        dx = next_vec[..., 0] - cfg.goal[0]
-        dy = next_vec[..., 1] - cfg.goal[1]
+        dx = next_vec[0] - cfg.goal[0]
+        dy = next_vec[1] - cfg.goal[1]
         return -np.sqrt(dx * dx + dy * dy)
-    a = action[..., 0]
+    a = action[0]
     return cfg.mean_base + cfg.mean_slope * a + cfg.spread_max * a * u
 
 

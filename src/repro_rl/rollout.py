@@ -6,12 +6,16 @@ three derived substreams, (seed, "init", i), (seed, "noise", i) and (seed,
 Streams a rollout does not need are never materialised; by construction
 that cannot shift any other stream.
 
-The engine is batched and lockstep: a block of rollouts steps together as
-(rows, ...) arrays. Each rollout's draws are taken from its own substreams
-up front, in the order documented in `noise`, from each tag's state words,
-derived once per call for all its rows (`core.stream_states`, bit for bit
-`derive_stream`'s streams): normals by generators, the bandit's uniforms
-with none (`core.pcg64_raw`).
+The engine is batched and lockstep: a block of rollouts steps together,
+stored feature-major with features first and rows last, so the forward
+pass adds each input's products to all rows at once (`core.dense_forward`;
+a one-output layer keeps a dot product per row). Rewards are elementwise
+and taken for all steps after the last one; the block becomes the
+`Trajectory` contract (rows, T, d) once, at its end. Each rollout's draws
+are taken from its own substreams up front, in the order documented in
+`noise`, from each tag's state words, derived once per call for all its
+rows (`core.stream_states`, bit for bit `derive_stream`'s streams): normals
+by generators, the bandit's uniforms with none (`core.pcg64_raw`).
 The forward pass and the dynamics treat every row on its own and accumulate
 in a fixed order, so a rollout has the same bits at any block size, on
 shared or per-row parameters. `evaluate`, `rollout_once` and the ES scorer
@@ -97,6 +101,11 @@ def _normals(states: np.ndarray, size: tuple) -> np.ndarray:
     return out
 
 
+def _rows_last(a: np.ndarray) -> np.ndarray:
+    """C-contiguous copy of `a` with its leading rows axis moved last."""
+    return np.ascontiguousarray(a.transpose(*range(1, a.ndim), 0))
+
+
 def _run_block(
     policy: Policy,
     env_cfg: EnvConfig,
@@ -105,75 +114,76 @@ def _run_block(
     index: Sequence[int],
     thetas: Optional[np.ndarray] = None,
 ) -> Trajectory:
-    """Step rollouts together, row r on thetas[r] in place of `policy.theta`
-    when given; `states(tag)` gives the rows' stream state words of `tag` and
-    `index` their rollout indices. Returns their trajectories as a block."""
+    """Step rollouts together, row r on column thetas[:, r] in place of
+    `policy.theta` when given; `states(tag)` gives the rows' stream state
+    words of `tag` and `index` their rollout indices. Returns their
+    trajectories as a block, whose fields are views of the block's
+    feature-major arrays."""
     _check_policy(policy, env_cfg, noise_cfg)
     n, n_steps = len(index), env_cfg.episode_length
     kind, sigma = noise_cfg.kind, noise_cfg.sigma
-    base = policy.theta if thetas is None and isinstance(policy, PolicyParams) else thetas
-    n_params = 0 if base is None else base.shape[-1]
+    base = policy.theta[:, None] if thetas is None and isinstance(policy, PolicyParams) else thetas
+    n_params = 0 if base is None else len(base)
 
-    state = np.empty((n, env_cfg.state_dim))
-    state[:] = env_reset(env_cfg)
+    # Feature-major: features first, rows last. path[t] is the true state
+    # before step t, seen[t] what the policy observes there.
+    path = np.empty((n_steps + 1, env_cfg.state_dim, n))
+    path[0] = env_reset(env_cfg)[:, None]
     if kind == "init-state":
         k = n_init_dims(env_cfg)
-        state[:, :k] += sigma * _normals(states(INIT_TAG), (k,))
+        path[0, :k] += sigma * _rows_last(_normals(states(INIT_TAG), (k,)))
     shape = episode_draw_shape(noise_cfg, env_cfg, n_params)
-    eps = _normals(states(NOISE_TAG), shape) if shape is not None else None
-    if kind == "param" and eps is not None:
-        base = base + sigma * eps
+    if shape is not None:
+        eps = _rows_last(_normals(states(NOISE_TAG), shape))
+        if kind == "param":
+            base = base + sigma * eps
     step_gens = None
     if kind == "param" and noise_cfg.resample == "per-step":
         step_gens = [state_generator(words) for words in states(NOISE_TAG)]
         eps_t = np.empty((n, n_params))
-    u = np.zeros((n, n_steps))
-    if env_cfg.family == "bandit":
-        # Generator.uniform(-1, 1): 53 high bits of each raw word, times 2^-53.
-        raw = pcg64_raw(states(ENV_TAG), n_steps)
-        u = -1.0 + 2.0 * ((raw >> np.uint64(11)) * 2.0**-53)
+    elif base is not None:
+        layers = dense_layers(base, policy.arch)
 
-    layers = None if base is None else dense_layers(base, policy.arch)
-    obs = state + sigma * eps[:, 0] if kind == "obs" else state
-
-    states = np.empty((n, n_steps, env_cfg.state_dim))
-    observations = np.empty_like(states)
-    actions = np.empty((n, n_steps, env_cfg.action_dim))
-    rewards = np.empty((n, n_steps))
+    seen = path
+    if kind == "obs":
+        seen = np.empty_like(path)
+        seen[0] = path[0] + sigma * eps[0]
+    actions = np.empty((n_steps, env_cfg.action_dim, n))
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(n_steps):
-            states[:, t] = state
-            observations[:, t] = obs
             if step_gens is not None:
                 for g, row in zip(step_gens, eps_t):
                     g.standard_normal(out=row)
-                layers = dense_layers(base + sigma * eps_t, policy.arch)
-            if layers is None:
-                action = policy.action
+                layers = dense_layers(base + sigma * _rows_last(eps_t), policy.arch)
+            if base is None:
+                action = policy.action[:, None]
             else:
-                action = dense_forward(layers, policy.activation, obs)
+                action = dense_forward(layers, policy.activation, seen[t])
             if kind == "action":
-                action = np.clip(action + sigma * eps[:, t], ACTION_LOW, ACTION_HIGH)
-            actions[:, t] = action
-
-            nxt = transition(env_cfg, state, action)
+                action = np.clip(action + sigma * eps[t], ACTION_LOW, ACTION_HIGH)
+            actions[t] = action
+            path[t + 1] = transition(env_cfg, path[t], action)
             if kind == "dynamics":
-                nxt = nxt + sigma * eps[:, t]
-            next_obs = nxt + sigma * eps[:, t + 1] if kind == "obs" else nxt
-            if kind == "obs" and noise_cfg.obs_affects_reward:
-                r = reward(env_cfg, obs, action, next_obs, u[:, t])
-            else:
-                r = reward(env_cfg, state, action, nxt, u[:, t])
-            if kind == "reward":
-                r = r + sigma * eps[:, t]
-            rewards[:, t] = r
-            state, obs = nxt, next_obs
+                path[t + 1] += sigma * eps[t]
+            if kind == "obs":
+                seen[t + 1] = path[t + 1] + sigma * eps[t + 1]
+
+        # Rewards are elementwise, so all steps' are taken at once, as (T, rows).
+        u = 0.0
+        if env_cfg.family == "bandit":
+            # Generator.uniform(-1, 1): 53 high bits of each raw word, times 2^-53.
+            raw = pcg64_raw(states(ENV_TAG), n_steps).T
+            u = -1.0 + 2.0 * ((raw >> np.uint64(11)) * 2.0**-53)
+        steps = (seen if kind == "obs" and noise_cfg.obs_affects_reward else path).swapaxes(0, 1)
+        r = reward(env_cfg, steps[:, :-1], actions.swapaxes(0, 1), steps[:, 1:], u)
+        if kind == "reward":
+            r = r + sigma * eps
+    # Row-major before the sum: pairwise summation's bits depend on the layout.
+    rewards = np.ascontiguousarray(r.T)
 
     # One scan for the first non-finite step of each rollout: step t fails
     # when its reward or the state it leads to is not finite.
-    finite = np.isfinite(rewards)
-    finite[:, :-1] &= np.isfinite(states[:, 1:]).all(axis=-1)
-    finite[:, -1] &= np.isfinite(state).all(axis=-1)
+    finite = np.isfinite(rewards) & np.isfinite(path[1:]).all(axis=1).T
     if not finite.all():
         row, step = np.argwhere(~finite)[0]
         raise NumericFailure(
@@ -183,12 +193,12 @@ def _run_block(
         )
 
     return Trajectory(
-        states=states,
-        observations=observations,
-        actions=actions,
+        states=path[:-1].transpose(2, 0, 1),
+        observations=seen[:-1].transpose(2, 0, 1),
+        actions=actions.transpose(2, 0, 1),
         rewards=rewards,
         episode_return=rewards.sum(axis=1),
-        final_state=state,
+        final_state=path[-1].T,
     )
 
 
@@ -208,7 +218,8 @@ def rollout_once(
         raise ValueError(f"seed and index must be non-negative, got {master_seed}, {index}")
     states = partial(stream_states, [master_seed], [index])
     block = _run_block(policy, env_cfg, noise_cfg, states, [index])
-    return Trajectory(**{f.name: getattr(block, f.name)[0] for f in fields(block)})
+    # Copies: the block's fields are views, and share memory with each other.
+    return Trajectory(**{f.name: getattr(block, f.name)[0].copy() for f in fields(block)})
 
 
 def _rollouts(
@@ -230,16 +241,18 @@ def _rollouts(
     descs = np.empty((total, descriptor_dim(env_cfg)))
     width = env_cfg.episode_length * env_cfg.state_dim
     marginals = np.empty((total, width)) if record_state_marginal else None
+    columns = None if thetas is None else np.ascontiguousarray(thetas.T)
     for start in range(0, total, BLOCK_ROWS):
-        rows = np.arange(start, min(start + BLOCK_ROWS, total))
+        stop = min(start + BLOCK_ROWS, total)
+        rows = np.arange(start, stop)
         block = _run_block(
-            policy, env_cfg, noise_cfg, lambda tag: tag_states(tag)[rows], rows % n,
-            None if thetas is None else thetas[rows // n],
+            policy, env_cfg, noise_cfg, lambda tag: tag_states(tag)[start:stop], rows % n,
+            None if columns is None else columns.take(rows // n, axis=1),
         )
-        returns[rows] = block.episode_return
-        descs[rows] = descriptor(env_cfg, block)
+        returns[start:stop] = block.episode_return
+        descs[start:stop] = descriptor(env_cfg, block)
         if marginals is not None:
-            marginals[rows] = block.state_marginal()
+            marginals[start:stop] = block.state_marginal()
     return {"returns": returns, "descriptors": descs, "state_marginals": marginals}
 
 

@@ -19,7 +19,6 @@ from repro_rl.core import (
     PolicyParams,
     Trajectory,
     _tag_words,
-    policy_forward,
 )
 from repro_rl.envs import (
     ACTION_HIGH,
@@ -47,10 +46,22 @@ class EnvState:
 
 
 def policy_action(policy: Policy, obs: np.ndarray) -> np.ndarray:
-    """Action of either policy flavour for one observation."""
+    """Action of either policy flavour for one observation.
+
+    The MLP's own one-row forward pass, apart from the engine's: each layer
+    is einsum("...i,...io->...o") plus the bias, which adds each output's
+    products in index order.
+    """
     if isinstance(policy, ConstantPolicy):
         return np.asarray(policy.action, dtype=np.float64).copy()
-    return policy_forward(policy, obs)
+    x, offset, arch = obs, 0, policy.arch
+    for k, (n_in, n_out) in enumerate(zip(arch[:-1], arch[1:])):
+        w = policy.theta[offset : offset + n_in * n_out].reshape(n_in, n_out)
+        offset += n_in * n_out
+        z = np.einsum("...i,...io->...o", x, w) + policy.theta[offset : offset + n_out]
+        offset += n_out
+        x = np.tanh(z) if k == len(arch) - 2 or policy.activation == "tanh" else np.maximum(z, 0.0)
+    return x
 
 
 def stream_gen(master_seed: int, tag: str, index: int) -> np.random.Generator:

@@ -1093,6 +1093,9 @@ MISTYPED_ARTIFACTS = {
     "master_seed-fraction": {"master_seed": 1.5},
     "sigma-string": {"noise": {"kind": "obs", "sigma": "0.1"}},
     "obs_affects_reward-string": {"noise": {"kind": "obs", "obs_affects_reward": "false"}},
+    "returns-strings": {"returns": ["1", "2e0"]},
+    "returns-bool": {"returns": [1.5, True]},
+    "descriptors-string-and-bool": {"descriptors": [["3"], [True]]},
 }
 
 
@@ -1109,6 +1112,21 @@ def test_mistyped_artifact_value_exits_1_naming_the_artifact(tmp_path, capsys, c
     rc = main([command[0], good, bad, *command[1:]])
     err = capsys.readouterr().err
     assert (rc, err.count("\n")) == (1, 1) and err.startswith(f"error: artifact {bad}: ")
+
+
+@pytest.mark.parametrize("algo", [5, ["es"], None], ids=["number", "list", "null"])
+def test_run_artifact_with_mistyped_algo_exits_1_naming_the_field(tmp_path, capsys, algo):
+    cfg = write_config(tmp_path / "cfg.json", seeds=[0])
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+    run = str(tmp_path / "runs" / "train_es_seed0.json")
+    _patch_artifact(run, algo=algo)
+    capsys.readouterr()
+    out = tmp_path / "evals"
+    rc = main(["evaluate", "--config", cfg, "--policy", run, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert (rc, err.count("\n")) == (1, 1)
+    assert err.startswith(f"error: policy file {run} is malformed: algo: expected a string")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["env", "noise"])

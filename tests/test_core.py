@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,43 @@ def test_constant_policy_round_trip_and_validation():
         ConstantPolicy(action=np.array([np.inf]))
     with pytest.raises(ShapeError):
         ConstantPolicy(action=np.zeros((2, 1)))
+
+
+# JSON array values that are not nested lists of numbers, by the field they
+# are given for -> the value the refusal names.
+MISTYPED_ARRAYS = {
+    "returns-strings": ("returns", ["1", "2e0"], "'1'"),
+    "returns-bool-among-numbers": ("returns", [1.5, True], "True"),
+    "returns-null": ("returns", [1.0, None], "None"),
+    "returns-number": ("returns", 3.0, "3.0"),
+    "descriptors-string": ("descriptors", [["3"], [1.0]], "'3'"),
+    "descriptors-bool": ("descriptors", [[3.0], [True]], "True"),
+    "descriptors-row-and-number": ("descriptors", [[3.0], 1.0], "[3.0]"),
+    "marginals-list-form-string": ("state_marginals", [["0"], [1.0]], "'0'"),
+}
+
+
+@pytest.mark.parametrize("case", MISTYPED_ARRAYS)
+def test_eval_record_refuses_array_leaves_that_are_not_numbers(case):
+    name, value, leaf = MISTYPED_ARRAYS[case]
+    rec = EvalRecord(policy_id="p", env_id="e", noise=NoiseConfig(), master_seed=0,
+                     returns=np.array([1.0, 2.0]), descriptors=np.zeros((2, 1)))
+    d = {**json.loads(json.dumps(rec.to_json_dict())), name: value}
+    message = f"{name}: expected nested lists of numbers, got {leaf}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        EvalRecord.from_json_dict(d)
+
+
+@pytest.mark.parametrize("theta", [[0.5, "1"], [0.5, True], [0.5, [1.0]], "0.5 1"],
+                         ids=["string", "bool", "list-leaf", "not-a-list"])
+def test_policy_arrays_refuse_leaves_that_are_not_numbers(theta):
+    with pytest.raises(TypeError, match="^theta: expected nested lists of numbers"):
+        PolicyParams.from_json_dict({"arch": [1, 1], "theta": theta})
+    with pytest.raises(TypeError, match="^action: expected nested lists of numbers"):
+        ConstantPolicy.from_json_dict({"action": theta})
+    # numbers load, integers among floats included
+    assert np.array_equal(PolicyParams.from_json_dict({"arch": [1, 1], "theta": [0.5, 1]}).theta,
+                          [0.5, 1.0])
 
 
 # Eval-artifact bytes (sorted keys) of two hand-built records: the first

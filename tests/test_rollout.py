@@ -78,14 +78,25 @@ def test_bandit_engine_matches_oracle_exactly():
 NOISE_CASES = [NoiseConfig(kind=k) for k in ALL_KINDS] + [
     NoiseConfig(kind="param", resample="per-step")
 ]
-ENV_CASES = [(point_mass_nav, (4, 16, 16, 2)), (tradeoff_spread, (1, 8, 1))]
+# (label, env, arch, noise cases). The wide hidden layer of the eval sweep and
+# a one-unit hidden layer, whose one-output layer keeps a row-major dot
+# product, run under the noise kinds that change their inputs or weights per
+# row.
+ENV_CASES = [
+    ("point-mass", point_mass_nav, (4, 16, 16, 2), NOISE_CASES),
+    ("bandit", tradeoff_spread, (1, 8, 1), NOISE_CASES),
+    ("pm-4-32-2", point_mass_nav, (4, 32, 2), [NoiseConfig(kind="obs"), NoiseConfig(kind="param")]),
+    ("pm-4-8-1-2", point_mass_nav, (4, 8, 1, 2), [NoiseConfig(kind="obs"), NoiseConfig(kind="param")]),
+]
+ROW_CASES = [
+    pytest.param(noise, make_env, arch, id=f"{noise.kind}-{noise.resample}-{label}")
+    for label, make_env, arch, noises in ENV_CASES
+    for noise in noises
+]
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
-@pytest.mark.parametrize("make_env,arch", ENV_CASES, ids=["point-mass", "bandit"])
-@pytest.mark.parametrize(
-    "noise", NOISE_CASES, ids=[f"{n.kind}-{n.resample}" for n in NOISE_CASES]
-)
+@pytest.mark.parametrize("noise,make_env,arch", ROW_CASES)
 def test_rollout_rows_bit_identical_across_batch_size_and_jobs(noise, make_env, arch, activation):
     # N=300 crosses the engine's 256-row block boundary.
     env = make_env()
