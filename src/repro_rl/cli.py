@@ -284,6 +284,13 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _policy_id(policy_id: str, source: str, error) -> str:
+    """`policy_id`, or `error` naming `source` unless it is one file-name component."""
+    if policy_id in (".", "..") or any(sep and sep in policy_id for sep in ("/", os.sep, os.altsep)):
+        raise error(f"{source}: policy id {policy_id!r} is not one file-name component")
+    return policy_id
+
+
 def _load_policy_file(path: str) -> Tuple[Policy, str, Optional[str]]:
     raw = _read_json(path, "policy file")
     if not isinstance(raw, dict):
@@ -291,13 +298,16 @@ def _load_policy_file(path: str) -> Tuple[Policy, str, Optional[str]]:
     try:
         policy = policy_from_json_dict(raw)
         algo = cast_field("algo", as_str, raw["algo"]) if "algo" in raw else None
+        if raw.get("schema") == RUN_SCHEMA:
+            seed = cast_field("seed", as_int, raw.get("seed", 0))
+            if seed < 0:
+                raise ValueError(f"seed: expected a non-negative integer, got {seed}")
+            policy_id = f"{'run' if algo is None else algo}-seed{seed}"
+        else:
+            policy_id = os.path.splitext(os.path.basename(path))[0]
     except (TypeError, ValueError) as e:
         raise DataError(f"policy file {path} is malformed: {e}") from e
-    if raw.get("schema") == RUN_SCHEMA:
-        policy_id = f"{'run' if algo is None else algo}-seed{raw.get('seed', 0)}"
-    else:
-        policy_id = os.path.splitext(os.path.basename(path))[0]
-    return policy, policy_id, algo
+    return policy, _policy_id(policy_id, f"policy file {path}", DataError), algo
 
 
 def cmd_evaluate(args) -> int:
@@ -306,7 +316,8 @@ def cmd_evaluate(args) -> int:
     if args.policy_id is not None:
         if len(policies) > 1:
             raise ConfigError(f"--policy-id names one policy, {args.policy} holds {len(policies)}")
-        policies = [(policies[0][0], args.policy_id, policies[0][2])]
+        policies = [(policies[0][0], _policy_id(args.policy_id, "--policy-id", ConfigError),
+                     policies[0][2])]
 
     single_file = len(policies) == 1 and len(cfg.seeds) == 1 and args.out.endswith(".json")
     for (policy, policy_id, algo), seed in itertools.product(policies, cfg.seeds):

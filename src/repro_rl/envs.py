@@ -16,12 +16,12 @@ the axes after it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Union
 
 import numpy as np
 
-from .core import JsonFields, ShapeError
+from .core import JsonFields, ShapeError, as_float, cast_field
 
 ACTION_LOW = -1.0
 ACTION_HIGH = 1.0
@@ -52,6 +52,17 @@ class EnvConfig(JsonFields):
             raise ValueError(f"unknown env family {self.family!r}")
         if self.episode_length < 1:
             raise ValueError("episode_length must be >= 1")
+        for f in fields(self):
+            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if self.family == "point-mass":
+            if (self.state_dim, self.action_dim) != (4, 2):
+                raise ValueError(f"a point-mass env has state_dim 4 and action_dim 2, got "
+                                 f"{self.state_dim} and {self.action_dim}")
+            for name in ("start", "goal"):
+                xy = [cast_field(name, as_float, x) for x in getattr(self, name)]
+                if len(xy) != 2 or not np.all(np.isfinite(xy)):
+                    raise ValueError(f"{name} must be 2 finite numbers, got {xy}")
 
 
 def point_mass_nav(
@@ -75,19 +86,6 @@ def point_mass_nav(
     )
 
 
-def flat_mean_spread(mean_base: float = 60.0, spread_max: float = 50.0) -> EnvConfig:
-    """Bandit whose expected reward is flat in the action but whose spread is not."""
-    return EnvConfig(
-        env_id="flat-mean-spread",
-        family="bandit",
-        episode_length=1,
-        state_dim=1,
-        action_dim=1,
-        mean_base=mean_base,
-        spread_max=spread_max,
-    )
-
-
 def tradeoff_spread(
     mean_base: float = 60.0, mean_slope: float = 10.0, spread_max: float = 50.0
 ) -> EnvConfig:
@@ -104,6 +102,11 @@ def tradeoff_spread(
     )
 
 
+def flat_mean_spread(mean_base: float = 60.0, spread_max: float = 50.0) -> EnvConfig:
+    """`tradeoff_spread` at slope 0: the reward's mean is flat in the action, its spread not."""
+    return replace(tradeoff_spread(mean_base, 0.0, spread_max), env_id="flat-mean-spread")
+
+
 BUILTIN_ENVS = {
     "point-mass-nav": point_mass_nav,
     "flat-mean-spread": flat_mean_spread,
@@ -113,11 +116,9 @@ BUILTIN_ENVS = {
 
 def env_reset(cfg: EnvConfig) -> np.ndarray:
     """Nominal initial state vector. The rollout engine adds initial-state noise."""
+    vec = np.zeros(cfg.state_dim, dtype=np.float64)
     if cfg.family == "point-mass":
-        vec = np.zeros(4, dtype=np.float64)
-        vec[0], vec[1] = cfg.start
-    else:
-        vec = np.zeros(cfg.state_dim, dtype=np.float64)
+        vec[:2] = cfg.start
     return vec
 
 

@@ -265,12 +265,4 @@ def pareto_front(points: Sequence[ParetoPoint]) -> List[bool]:
     Duplicate points do not dominate each other, so tied optima are all
     flagged as on the front.
     """
-    flags = []
-    for i, p in enumerate(points):
-        on = True
-        for j, q in enumerate(points):
-            if i != j and dominates(q, p):
-                on = False
-                break
-        flags.append(on)
-    return flags
+    return [not any(dominates(q, p) for q in points) for p in points]

@@ -56,12 +56,12 @@ class EsConfig(JsonFields):
             object.__setattr__(self, "arch", tuple(int(w) for w in self.arch))
         if self.popsize < 2 or self.popsize % 2 != 0:
             raise ValueError(f"popsize must be even and >= 2, got {self.popsize}")
-        if not self.sigma_es > 0.0:
-            raise ValueError(f"sigma_es must be > 0, got {self.sigma_es}")
-        if not self.lr > 0.0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if self.l2 < 0.0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
+        if not 0.0 < self.sigma_es < np.inf:
+            raise ValueError(f"sigma_es must be finite and > 0, got {self.sigma_es}")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 <= self.l2 < np.inf:
+            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
         if self.generations < 0:
             raise ValueError(f"generations must be >= 0, got {self.generations}")
         if self.fitness_mode not in FITNESS_MODES:
@@ -113,24 +113,18 @@ def rank_normalize(fitness: np.ndarray) -> np.ndarray:
     """Centered ranks in [-0.5, 0.5], ties averaged.
 
     The best candidate maps to +0.5 and the worst to -0.5; the result always
-    sums to zero. Averaging tied ranks keeps equal-fitness candidates at
-    equal utility.
+    sums to zero. A value ranks at the mean of its first and last sorted
+    positions, an exact integer or half-integer, so tied candidates get equal
+    utility.
     """
     f = np.asarray(fitness, dtype=np.float64)
     if f.ndim != 1 or f.shape[0] < 2:
         raise ValueError(f"fitness must be 1-D with >= 2 entries, got {f.shape}")
     if not np.all(np.isfinite(f)):
         raise ValueError("fitness contains non-finite values")
-    n = f.shape[0]
-    order = np.argsort(f, kind="stable")
-    ranks = np.empty(n)
-    ranks[order] = np.arange(n, dtype=np.float64)
-    uniq, inverse, counts = np.unique(f, return_inverse=True, return_counts=True)
-    if np.any(counts > 1):
-        sums = np.zeros(uniq.shape[0])
-        np.add.at(sums, inverse, ranks)
-        ranks = (sums / counts)[inverse]
-    return ranks / (n - 1) - 0.5
+    s = np.sort(f)
+    ranks = (np.searchsorted(s, f, "left") + np.searchsorted(s, f, "right") - 1) / 2
+    return ranks / (f.shape[0] - 1) - 0.5
 
 
 def _es_update(

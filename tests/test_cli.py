@@ -17,7 +17,7 @@ import repro_rl
 from repro_rl import cli
 from repro_rl.cli import ConfigError, ExperimentConfig, default_config, main
 from repro_rl.core import EvalRecord, derive_stream
-from repro_rl.envs import tradeoff_spread
+from repro_rl.envs import point_mass_nav, tradeoff_spread
 from repro_rl.metrics import (
     DISP_ESTIMATORS,
     PERF_ESTIMATORS,
@@ -801,9 +801,17 @@ def _expect_one_line_error(capsys, rc, code):
     assert rc == code, err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    return err
 
 
-# name -> (file contents, or None for a directory; exit code)
+def _env_config(env, **changes):
+    """Config file bytes whose env is `env` with `changes`; a change to None drops the field."""
+    fields = {**env.to_json_dict(), **changes}
+    return json.dumps({"env": {k: v for k, v in fields.items() if v is not None}}).encode()
+
+
+# name -> (file contents, or None for a directory; exit code; the field the
+# error names, if any)
 BAD_CONFIGS = {
     "directory": (None, 1),
     "binary": (b"\xff\xfe\x00{", 1),
@@ -814,19 +822,69 @@ BAD_CONFIGS = {
     "es-list": (b'{"es": [1]}', 2),
     "env-number": (b'{"env": 5}', 2),
     "env-fields-missing": (b'{"env": {"family": "bandit"}}', 2),
+    "point-mass-no-goal": (_env_config(point_mass_nav(), goal=None), 2, "goal"),
+    "point-mass-state-dim-3": (_env_config(point_mass_nav(), state_dim=3), 2, "state_dim"),
+    "point-mass-action-dim-1": (_env_config(point_mass_nav(), action_dim=1), 2, "action_dim"),
+    "point-mass-start-1": (_env_config(point_mass_nav(), start=[0.0]), 2, "start"),
+    "point-mass-goal-strings": (_env_config(point_mass_nav(), goal=["a", "b"]), 2, "goal"),
+    "dt-nan": (_env_config(point_mass_nav(), dt=float("nan")), 2, "dt"),
+    "v-max-inf": (_env_config(point_mass_nav(), v_max=float("inf")), 2, "v_max"),
+    "mean-base-nan": (_env_config(tradeoff_spread(), mean_base=float("nan")), 2, "mean_base"),
+    "es-l2-nan": (b'{"env": {"name": "flat-mean-spread"}, '
+                  b'"es": {"l2": NaN, "popsize": 4, "generations": 2}}', 2, "l2"),
 }
 
 
 @pytest.mark.parametrize("name", list(BAD_CONFIGS))
 def test_bad_config_file_exits_cleanly(tmp_path, capsys, name):
-    content, code = BAD_CONFIGS[name]
+    content, code, *named = BAD_CONFIGS[name]
     path = tmp_path / "cfg.json"
     if content is None:
         path.mkdir()
     else:
         path.write_bytes(content)
     rc = main(["train", "--config", str(path), "--out", str(tmp_path / "runs")])
-    _expect_one_line_error(capsys, rc, code)
+    err = _expect_one_line_error(capsys, rc, code)
+    assert all(field in err for field in named), err
+    rc = main(["evaluate", "--config", str(path), "--policy", str(tmp_path / "pol.json"),
+               "--out", str(tmp_path / "evals")])
+    err = _expect_one_line_error(capsys, rc, code)
+    assert all(field in err for field in named), err
+
+
+# run artifact fields -> the field its refusal names
+BAD_RUN_IDS = {
+    "algo-escapes-out": ({"algo": "../../../escaped"}, "policy id"),
+    "algo-slash": ({"algo": "a/b"}, "policy id"),
+    "seed-path": ({"seed": "../x"}, "seed"),
+    "seed-negative": ({"seed": -1}, "seed"),
+    "seed-fraction": ({"seed": 0.5}, "seed"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_RUN_IDS))
+def test_run_artifact_policy_id_must_be_one_file_name_component(tmp_path, capsys, name):
+    fields, named = BAD_RUN_IDS[name]
+    cfg = write_config(tmp_path / "cfg.json", seeds=[0])
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps({"schema": cli.RUN_SCHEMA, "algo": "scripted", "seed": 0,
+                               "final_policy": {"action": [0.5]}, **fields}))
+    rc = main(["evaluate", "--config", cfg, "--policy", str(run),
+               "--out", str(tmp_path / "out" / "evals")])
+    err = _expect_one_line_error(capsys, rc, 1)
+    assert str(run) in err and named in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("policy_id", ["a/b", "/x", ".", ".."])
+def test_policy_id_flag_must_be_one_file_name_component(tmp_path, capsys, policy_id):
+    cfg = write_config(tmp_path / "cfg.json", seeds=[0])
+    pol = tmp_path / "pol.json"
+    pol.write_text(json.dumps({"action": [0.5]}))
+    rc = main(["evaluate", "--config", cfg, "--policy", str(pol), "--policy-id", policy_id,
+               "--out", str(tmp_path / "out" / "evals")])
+    assert "--policy-id" in _expect_one_line_error(capsys, rc, 2)
+    assert not (tmp_path / "out").exists()
 
 
 BAD_POLICIES = {

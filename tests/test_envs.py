@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,34 @@ def test_env_config_validation_and_round_trip():
     assert EnvConfig.from_json_dict(d) == off
     with pytest.raises(TypeError, match="env_id"):
         EnvConfig.from_json_dict({"family": "bandit", "episode_length": 1})
+
+
+# name -> (env, field changes, the field the refusal names)
+BAD_ENVS = {
+    "point-mass-no-goal": (point_mass_nav(), {"goal": ()}, "goal"),
+    "point-mass-start-1": (point_mass_nav(), {"start": (0.0,)}, "start"),
+    "point-mass-goal-nan": (point_mass_nav(), {"goal": (1.0, np.nan)}, "goal"),
+    "point-mass-state-dim-3": (point_mass_nav(), {"state_dim": 3}, "state_dim"),
+    "point-mass-action-dim-1": (point_mass_nav(), {"action_dim": 1}, "action_dim"),
+    "dt-nan": (point_mass_nav(), {"dt": np.nan}, "dt"),
+    "v-max-inf": (point_mass_nav(), {"v_max": np.inf}, "v_max"),
+    "mean-base-nan": (tradeoff_spread(), {"mean_base": np.nan}, "mean_base"),
+    "spread-max-minus-inf": (tradeoff_spread(), {"spread_max": -np.inf}, "spread_max"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_ENVS))
+def test_env_config_refuses_misshapen_point_mass_and_non_finite_floats(name):
+    env, changes, field = BAD_ENVS[name]
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(env, **changes)
+
+
+def test_flat_mean_spread_is_tradeoff_spread_at_slope_zero():
+    flat = flat_mean_spread(3.0, 4.0)
+    assert flat == dataclasses.replace(tradeoff_spread(3.0, 0.0, 4.0), env_id="flat-mean-spread")
+    for a, u in [(-1.0, 0.5), (0.25, -1.0), (1.0, 0.0)]:
+        assert bandit_reward(flat, a, u) == 3.0 + 4.0 * a * u
 
 
 def test_reset_states():

@@ -433,12 +433,20 @@ def test_pareto_front_edge_cases():
 
 def test_pareto_front_matches_exhaustive_oracle():
     gen = np.random.default_rng(4)
+    cases = []
     for _ in range(50):
         n = int(gen.integers(1, 51))
-        pts = [
+        cases.append([
             ParetoPoint(str(i), float(gen.integers(0, 6)), float(gen.integers(0, 6)))
             for i in range(n)
-        ]
+        ])
+    # an anti-diagonal, where every point is on the front, alone, doubled, and
+    # with duplicated points below it
+    diagonal = [ParetoPoint(str(i), float(i), float(-i)) for i in range(8)]
+    below = [ParetoPoint("b", 1.0, -3.0), ParetoPoint("b", 1.0, -3.0)]
+    cases += [diagonal, diagonal + diagonal[::-1], below + diagonal + below]
+    assert pareto_front(diagonal) == [True] * 8
+    for pts in cases:
         got = pareto_front(pts)
         for i, p in enumerate(pts):
             dominated = any(

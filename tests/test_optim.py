@@ -121,6 +121,38 @@ def test_rank_normalize_ties_averaged():
     assert np.array_equal(rank_normalize(np.ones(6)), np.zeros(6))
 
 
+def _ranks_by_definition(f):
+    """Centred ranks with each value at the mean of the sorted positions its ties take."""
+    s, n = sorted(f), len(f)
+    return np.array([np.mean([k for k in range(n) if s[k] == x]) for x in f]) / (n - 1) - 0.5
+
+
+@pytest.mark.parametrize("f", [
+    [0.0, -0.0, 1.0, -1.0],  # -0.0 and 0.0 tie
+    [-0.0, 0.0],
+    [3.0, 9.0],
+    [9.0, 3.0],
+    [7.0, 1.0, 7.0, 4.0, 1.0, 1.0, 7.0],  # ties at both ends
+    [2.5] * 5,
+])
+def test_rank_normalize_matches_definition_bit_for_bit(f):
+    assert rank_normalize(np.array(f)).tobytes() == _ranks_by_definition(f).tobytes()
+
+
+def test_rank_normalize_matches_definition_on_tied_populations():
+    gen = np.random.default_rng(2)
+    for n in (32, 64):
+        for _ in range(20):
+            f = gen.integers(-3, 4, n) * 0.5 * gen.choice([-1.0, 1.0], n)  # ±0.0 ties too
+            assert rank_normalize(f).tobytes() == _ranks_by_definition(list(f)).tobytes()
+
+
+def test_es_config_refuses_non_finite_step_sizes():
+    for field, value in [("l2", np.nan), ("l2", np.inf), ("lr", np.inf), ("sigma_es", np.inf)]:
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            EsConfig(**{field: value})
+
+
 def test_rank_normalize_monotone_invariance():
     gen = np.random.default_rng(1)
     for _ in range(200):
