@@ -351,8 +351,10 @@ def _hash_consts(init: int, mult: int, n: int) -> tuple:
 
 
 def _hashmix(value: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
-    value = (value ^ before) * after
-    return value ^ (value >> _U16)
+    value = value ^ before
+    value *= after
+    value ^= value >> _U16
+    return value
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -384,8 +386,10 @@ def _emit_states(pool: np.ndarray) -> np.ndarray:
     has absorbed at least 4 words, as (rows, 4) uint64."""
     # Eight 32-bit words from the cycled pool, paired little-endian.
     state = _hashmix(np.concatenate([pool, pool]), *_hash_consts(_INIT_B, _MULT_B, 8))
-    state = state.astype(np.uint64)
-    return np.ascontiguousarray((state[0::2] | state[1::2] << _U32).T)
+    out = state[1::2].T.astype(np.uint64, order="C")
+    out <<= _U32
+    out |= state[0::2].T
+    return out
 
 
 def _uint32_words(values) -> tuple:

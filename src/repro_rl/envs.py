@@ -55,10 +55,14 @@ class EnvConfig(JsonFields):
         for f in fields(self):
             if f.type == "float" and not np.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        dims = {"point-mass": (4, 2), "bandit": (1, 1)}[self.family]
+        if (self.state_dim, self.action_dim) != dims:
+            raise ValueError(f"a {self.family} env has state_dim {dims[0]} and action_dim "
+                             f"{dims[1]}, got {self.state_dim} and {self.action_dim}")
         if self.family == "point-mass":
-            if (self.state_dim, self.action_dim) != (4, 2):
-                raise ValueError(f"a point-mass env has state_dim 4 and action_dim 2, got "
-                                 f"{self.state_dim} and {self.action_dim}")
+            for name in ("dt", "v_max"):
+                if not getattr(self, name) > 0:
+                    raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
             for name in ("start", "goal"):
                 xy = [cast_field(name, as_float, x) for x in getattr(self, name)]
                 if len(xy) != 2 or not np.all(np.isfinite(xy)):

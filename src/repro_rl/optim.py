@@ -18,15 +18,16 @@ population in one rollout-engine pass, `optimize_function` by an objective.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import JsonFields, NumericFailure, PolicyParams, RngStream, dense_layers
-from .core import derive_stream, param_count, pcg64_raw, stream_states
+from .core import derive_stream, param_count, pcg64_raw, state_generator, stream_states
 from .envs import EnvConfig
 from .noise import NoiseConfig
-from .rollout import _rollouts
+from .rollout import _rollouts, block_rows
 from .stats import DISPERSION, PERFORMANCE
 
 FITNESS_MODES = ("plain", "repro")
@@ -144,15 +145,15 @@ def _generation(
     theta: np.ndarray,
     generation: int,
     cfg: EsConfig,
-    stream: RngStream,
+    gen: np.random.Generator,
     score: Callable[[np.ndarray], Sequence[float]],
 ) -> Tuple[np.ndarray, dict]:
-    """One ES generation on a flat theta: sample, score, rank, update.
+    """One ES generation on a flat theta: sample from `gen`, score, rank, update.
 
     `score` maps the (popsize, dim) candidate thetas to one fitness each.
     Returns the new theta and the generation's history row.
     """
-    thetas, eps_half = sample_population(theta, cfg, stream.generator())
+    thetas, eps_half = sample_population(theta, cfg, gen)
     # Finite but huge returns can overflow the repro mean or spread.
     with np.errstate(over="ignore", invalid="ignore"):
         fits = np.asarray(score(thetas), dtype=np.float64)
@@ -168,6 +169,19 @@ def _generation(
     return new_theta, row
 
 
+@lru_cache(maxsize=1)
+def _chunk(master_seed: int, gen_tag: str, popsize: int, n: int, first: int, stop: int) -> tuple:
+    """Draws of generations first..stop-1: their (gen_tag) stream state words,
+    their eval seeds, generation-major, from streams (master, FIT_TAG,
+    g * popsize + c), and `tag_states(tag)`, the state words of every key
+    (eval seed, i < n), seed-major, derived when a generation first needs the tag."""
+    gens = stream_states([master_seed], range(first, stop), gen_tag)
+    fit = stream_states([master_seed], range(first * popsize, stop * popsize), FIT_TAG)
+    # Generator.integers(0, 2**63): Lemire's bound 2^63 rejects below 2^64 mod 2^63 = 0, so x >> 1.
+    seeds = (pcg64_raw(fit, 1)[:, 0] >> np.uint64(1)).tolist()
+    return gens, seeds, lru_cache(maxsize=None)(partial(stream_states, seeds, range(n)))
+
+
 def es_step(
     state: EsState,
     cfg: EsConfig,
@@ -175,24 +189,43 @@ def es_step(
     noise_cfg: NoiseConfig,
     stream: RngStream,
 ) -> EsState:
-    """One generation of policy search; returns the new state. Candidate c
-    is scored on rollouts 0..n-1 (n is 1 in plain mode) of the eval seed drawn
-    from stream (master, FIT_TAG, g * popsize + c), all in one engine call."""
+    """One generation of policy search; returns the new state. With g =
+    stream.index, candidate c is scored on rollouts 0..n-1 (n is 1 in plain
+    mode) of the eval seed drawn from stream (master, FIT_TAG, g * popsize + c),
+    all in one engine call.
+
+    Generation g draws from its chunk of the run: as many consecutive
+    generations as fit one engine block of their rollouts (`block_rows`, each
+    row carrying its theta), at least one, and none past cfg.generations
+    unless g is. A chunk derives its generation streams' state words and its
+    eval seeds in one pass, and each rollout tag's words for all its keys
+    when a generation first draws from that tag; the last chunk stays cached.
+    Every drawn value is the one a chunk of generation g alone gives."""
     n = cfg.n_reevals if cfg.fitness_mode == "repro" else 1
-    first = stream.index * cfg.popsize
-    fit = stream_states([stream.master_seed], range(first, first + cfg.popsize), FIT_TAG)
-    # Generator.integers(0, 2**63): Lemire's bound 2^63 rejects below 2^64 mod 2^63 = 0, so x >> 1.
-    seeds = (pcg64_raw(fit, 1)[:, 0] >> np.uint64(1)).tolist()
+    g, per_gen = stream.index, cfg.popsize * n
+    size = max(1, block_rows(env_cfg, len(state.center.theta), noise_cfg) // per_gen)
+    first = g - g % size
+    # the chunk ends at the run's last generation, or at g past it
+    gens, seeds, tag_states = _chunk(
+        stream.master_seed, stream.purpose_tag, cfg.popsize, n,
+        first, min(first + size, max(cfg.generations, g + 1)),
+    )
+    j = g - first
+    rows = slice(j * per_gen, (j + 1) * per_gen)
 
     def score(thetas: np.ndarray) -> Sequence[float]:
-        returns = _rollouts(state.center, env_cfg, noise_cfg, seeds, n, thetas)["returns"]
-        returns = returns.reshape(cfg.popsize, n)
+        returns = _rollouts(
+            state.center, env_cfg, noise_cfg, seeds[j * cfg.popsize:(j + 1) * cfg.popsize], n,
+            thetas, tag_states=lambda tag: tag_states(tag)[rows],
+        )["returns"].reshape(cfg.popsize, n)
         if cfg.fitness_mode == "plain":
             return returns[:, 0]
         w = cfg.repro_weight
         return w * PERFORMANCE["mean"](returns) - (1 - w) * DISPERSION["std"](returns)
 
-    theta, row = _generation(state.center.theta, state.generation, cfg, stream, score)
+    theta, row = _generation(
+        state.center.theta, state.generation, cfg, state_generator(gens[j]), score
+    )
     return EsState(
         center=replace(state.center, theta=theta),
         generation=state.generation + 1,
@@ -206,7 +239,8 @@ def train(
     noise_cfg: NoiseConfig,
     master_seed: int,
 ) -> EsState:
-    """Full ES run from a fresh init; deterministic in master_seed."""
+    """Full ES run from a fresh init; deterministic in master_seed. A loop
+    of `es_step`, so each chunk of generations derives its draws once."""
     state = EsState(center=init_center(cfg, master_seed))
     for g in range(cfg.generations):
         state = es_step(
@@ -235,7 +269,7 @@ def optimize_function(
             raise ValueError(f"theta0 must have shape ({dim},), got {theta.shape}")
     history: List[dict] = []
     for g in range(cfg.generations):
-        stream = derive_stream(master_seed, GEN_TAG, g)
-        theta, row = _generation(theta, g, cfg, stream, lambda ts: [objective(t) for t in ts])
+        gen = derive_stream(master_seed, GEN_TAG, g).generator()
+        theta, row = _generation(theta, g, cfg, gen, lambda ts: [objective(t) for t in ts])
         history.append(row)
     return theta, history

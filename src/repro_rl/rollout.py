@@ -3,23 +3,26 @@
 Rollout (seed, i), the i-th rollout of the evaluation with that seed, owns
 three derived substreams, (seed, "init", i), (seed, "noise", i) and (seed,
 "env", i), so it is the same alone or in a block with any other keys.
-Streams a rollout does not need are never materialised; by construction
-that cannot shift any other stream.
+A tag's streams are materialised only when a block draws from that tag,
+so streams a rollout does not need are never materialised; by
+construction that cannot shift any other stream.
 
 The engine is batched and lockstep: a block of rollouts steps together,
-stored feature-major with features first and rows last, so the forward
-pass adds each input's products to all rows at once (`core.dense_forward`;
-a one-output layer keeps a dot product per row). Rewards are elementwise
+as many as fit BLOCK_VALUES float64 values (`block_rows`), stored
+feature-major with features first and rows last, so the forward pass adds
+each input's products to all rows at once (`core.dense_forward`; a
+one-output layer keeps a dot product per row). Rewards are elementwise
 and taken for all steps after the last one; the block becomes the
 `Trajectory` contract (rows, T, d) once, at its end. Each rollout's draws
 are taken from its own substreams up front, in the order documented in
-`noise`, from each tag's state words, derived once per call for all its
-rows (`core.stream_states`, bit for bit `derive_stream`'s streams): normals
-by generators, the bandit's uniforms with none (`core.pcg64_raw`).
-The forward pass and the dynamics treat every row on its own and accumulate
-in a fixed order, so a rollout has the same bits at any block size, on
-shared or per-row parameters. `evaluate`, `rollout_once` and the ES scorer
-run on it.
+`noise`, from each tag's state words (`core.stream_states`, bit for bit
+`derive_stream`'s streams), derived once per call for all its rows or
+handed in by the caller, as the ES scorer does for a chunk of
+generations: normals by generators, the bandit's uniforms with none
+(`core.pcg64_raw`). The forward pass and the dynamics treat every row on
+its own and accumulate in a fixed order, so a rollout has the same bits
+at any block size, on shared or per-row parameters. `evaluate`,
+`rollout_once` and the ES scorer run on it.
 """
 
 from __future__ import annotations
@@ -61,9 +64,12 @@ INIT_TAG = "init"
 NOISE_TAG = "noise"
 ENV_TAG = "env"
 
-# Rollouts stepped together by `evaluate` and the ES scorer. Bounds the
-# engine's temporaries for any number of rollouts; results do not depend on it.
-BLOCK_ROWS = 256
+# float64 values an engine block holds: 256 rows of 100-step point-mass
+# rollouts, each step's state, action and reward. Bounds the engine's
+# temporaries for any number of rollouts; results do not depend on it.
+BLOCK_VALUES = 256 * 100 * (4 + 2 + 1)
+# A row's own generator under per-step parameter noise (about 0.7 KiB).
+_GENERATOR_VALUES = 96
 
 
 @dataclass(frozen=True)
@@ -222,6 +228,18 @@ def rollout_once(
     return Trajectory(**{f.name: getattr(block, f.name)[0].copy() for f in fields(block)})
 
 
+def block_rows(env_cfg: EnvConfig, n_params: int = 0, noise_cfg: NoiseConfig = NoiseConfig()) -> int:
+    """Rollouts per engine block: as many rows as fit BLOCK_VALUES, at least
+    one. A row holds each step's state, action and reward, plus the
+    `n_params` parameters it carries of its own (a per-row theta, or its
+    parameter noise); per-step parameter noise also holds each step's draws
+    and the row's generator."""
+    per_row = env_cfg.episode_length * (env_cfg.state_dim + env_cfg.action_dim + 1) + n_params
+    if noise_cfg.kind == "param" and noise_cfg.resample == "per-step":
+        per_row += n_params + _GENERATOR_VALUES
+    return max(1, BLOCK_VALUES // per_row)
+
+
 def _rollouts(
     policy: Policy,
     env_cfg: EnvConfig,
@@ -230,20 +248,26 @@ def _rollouts(
     n: int,
     thetas: Optional[np.ndarray] = None,
     record_state_marginal: bool = False,
+    tag_states: Optional[Callable[[str], np.ndarray]] = None,
 ) -> dict:
     """EvalRecord's returns, descriptors and (if asked for) state marginals
     of rollouts 0..n-1 of each seed, seed-major: row r is key (seeds[r // n],
-    r % n) and runs thetas[r // n] when one theta per seed is given. A tag's
-    state words are derived for all rows at once, when a block first needs them."""
-    tag_states = lru_cache(maxsize=None)(partial(stream_states, seeds, range(n)))
+    r % n) and runs thetas[r // n] when one theta per seed is given. Rows run
+    in blocks of `block_rows`. `tag_states(tag)` gives all rows' state words
+    of a tag; by default they are derived for all rows at once, when a block
+    first needs them."""
+    if tag_states is None:
+        tag_states = lru_cache(maxsize=None)(partial(stream_states, seeds, range(n)))
     total = len(seeds) * n
     returns = np.empty(total)
     descs = np.empty((total, descriptor_dim(env_cfg)))
     width = env_cfg.episode_length * env_cfg.state_dim
     marginals = np.empty((total, width)) if record_state_marginal else None
     columns = None if thetas is None else np.ascontiguousarray(thetas.T)
-    for start in range(0, total, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, total)
+    own = thetas is not None or (noise_cfg.kind == "param" and isinstance(policy, PolicyParams))
+    size = block_rows(env_cfg, policy.theta.size if own else 0, noise_cfg)
+    for start in range(0, total, size):
+        stop = min(start + size, total)
         rows = np.arange(start, stop)
         block = _run_block(
             policy, env_cfg, noise_cfg, lambda tag: tag_states(tag)[start:stop], rows % n,
@@ -266,9 +290,10 @@ def evaluate(
 ) -> EvalRecord:
     """Run n_evals rollouts and assemble the evaluation record.
 
-    Rollouts run in blocks of BLOCK_ROWS on the calling thread, from stream
-    state words derived once per tag for all n_evals rollouts. `jobs` is
-    accepted for compatibility and changes neither results nor speed.
+    Rollouts run on the calling thread in blocks of `block_rows` (a budget
+    of float64 values, so 256 rows of 100-step point-mass rollouts), from
+    stream state words derived once per tag for all n_evals rollouts. `jobs`
+    is accepted for compatibility and changes neither results nor speed.
     """
     return EvalRecord(
         policy_id=policy_id,

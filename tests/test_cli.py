@@ -829,6 +829,10 @@ BAD_CONFIGS = {
     "point-mass-goal-strings": (_env_config(point_mass_nav(), goal=["a", "b"]), 2, "goal"),
     "dt-nan": (_env_config(point_mass_nav(), dt=float("nan")), 2, "dt"),
     "v-max-inf": (_env_config(point_mass_nav(), v_max=float("inf")), 2, "v_max"),
+    "v-max-negative": (_env_config(point_mass_nav(), v_max=-1.0), 2, "v_max"),
+    "dt-zero": (_env_config(point_mass_nav(), dt=0.0), 2, "dt"),
+    "bandit-state-dim-2": (_env_config(tradeoff_spread(), state_dim=2), 2, "state_dim"),
+    "bandit-action-dim-2": (_env_config(tradeoff_spread(), action_dim=2), 2, "action_dim"),
     "mean-base-nan": (_env_config(tradeoff_spread(), mean_base=float("nan")), 2, "mean_base"),
     "es-l2-nan": (b'{"env": {"name": "flat-mean-spread"}, '
                   b'"es": {"l2": NaN, "popsize": 4, "generations": 2}}', 2, "l2"),

@@ -48,7 +48,7 @@ def test_env_config_validation_and_round_trip():
     pm = point_mass_nav()
     assert EnvConfig.from_json_dict(pm.to_json_dict()) == pm
     # every field off its default
-    off = EnvConfig(env_id="x", family="bandit", episode_length=3, state_dim=2, action_dim=2,
+    off = EnvConfig(env_id="x", family="bandit", episode_length=3, state_dim=1, action_dim=1,
                     dt=0.5, v_max=2.0, start=(1.0, 2.0), goal=(3.0, 4.0), mean_base=1.0,
                     mean_slope=2.0, spread_max=3.0)
     d = off.to_json_dict()
@@ -67,6 +67,12 @@ BAD_ENVS = {
     "point-mass-action-dim-1": (point_mass_nav(), {"action_dim": 1}, "action_dim"),
     "dt-nan": (point_mass_nav(), {"dt": np.nan}, "dt"),
     "v-max-inf": (point_mass_nav(), {"v_max": np.inf}, "v_max"),
+    "v-max-negative": (point_mass_nav(), {"v_max": -1.0}, "v_max"),
+    "v-max-zero": (point_mass_nav(), {"v_max": 0.0}, "v_max"),
+    "dt-zero": (point_mass_nav(), {"dt": 0.0}, "dt"),
+    "dt-negative": (point_mass_nav(), {"dt": -0.1}, "dt"),
+    "bandit-state-dim-2": (tradeoff_spread(), {"state_dim": 2}, "state_dim"),
+    "bandit-action-dim-2": (tradeoff_spread(), {"action_dim": 2}, "action_dim"),
     "mean-base-nan": (tradeoff_spread(), {"mean_base": np.nan}, "mean_base"),
     "spread-max-minus-inf": (tradeoff_spread(), {"spread_max": -np.inf}, "spread_max"),
 }

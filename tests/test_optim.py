@@ -5,7 +5,7 @@ import pytest
 
 from reference_rollout import count_generators, count_seed_sequences
 from repro_rl import core, optim, rollout
-from repro_rl.core import NumericFailure, PolicyParams, derive_stream, policy_forward
+from repro_rl.core import NumericFailure, PolicyParams, derive_stream, param_count, policy_forward
 from repro_rl.envs import flat_mean_spread, point_mass_nav, tradeoff_spread
 from repro_rl.noise import NoiseConfig
 from repro_rl.optim import (
@@ -22,7 +22,19 @@ from repro_rl.optim import (
     sample_population,
     train,
 )
-from repro_rl.rollout import BLOCK_ROWS, ENV_TAG, EvalConfig, evaluate
+from repro_rl.rollout import ENV_TAG, EvalConfig, block_rows, evaluate
+
+# A bandit arch with 697 parameters: a row carrying its theta holds 700
+# values, so `block_rows` gives 256-row blocks, and a population of 10 x 30
+# repro rollouts has a block boundary inside candidate 8 (rows 240..269).
+WIDE_BANDIT_ARCH = (1, 232, 1)
+
+
+def block_boundary_in_candidate(env, cfg):
+    """The first block boundary of es_step's rows, asserted to fall inside a candidate."""
+    rows = block_rows(env, param_count(cfg.arch))
+    assert rows < cfg.popsize * cfg.n_reevals and rows % cfg.n_reevals
+    return rows
 
 
 def small_cfg(**kw):
@@ -260,25 +272,27 @@ def oracle_score(center, env, noise, cfg, stream):
             NoiseConfig(kind="param", resample="per-step"),
             dict(arch=(4, 3, 2), popsize=4, n_reevals=3),
         ),
-        # 10 x 30 repro rollouts fill more than one BLOCK_ROWS (256) block,
+        # 10 x 30 repro rollouts fill more than one block of the wide arch,
         # and candidate 8's rows 240..269 straddle its end
         (
             tradeoff_spread(),
             NoiseConfig(kind="reward"),
-            dict(arch=(1, 2, 1), popsize=10, n_reevals=30),
+            dict(arch=WIDE_BANDIT_ARCH, popsize=10, n_reevals=30),
         ),
     ],
     ids=["tradeoff-none", "pm-obs", "pm-param-per-step", "tradeoff-reward-300-rows"],
 )
 def test_es_step_matches_per_candidate_oracle(env, noise, es, mode):
-    # a population larger than one block puts a block boundary inside a candidate
-    assert es["popsize"] * es["n_reevals"] <= BLOCK_ROWS or BLOCK_ROWS % es["n_reevals"]
     cfg = EsConfig(fitness_mode=mode, sigma_es=0.5, generations=1, **es)
+    # a population larger than one block puts a block boundary inside a candidate
+    if cfg.popsize * cfg.n_reevals > block_rows(env, param_count(cfg.arch)):
+        assert block_boundary_in_candidate(env, cfg) == 256
     state = EsState(center=init_center(cfg, 2), generation=3)
     stream = derive_stream(2, "es-gen", 3)
     got = es_step(state, cfg, env, noise, stream)
     theta, row = _generation(
-        state.center.theta, 3, cfg, stream, oracle_score(state.center, env, noise, cfg, stream)
+        state.center.theta, 3, cfg, stream.generator(),
+        oracle_score(state.center, env, noise, cfg, stream),
     )
     assert np.array_equal(got.center.theta, theta)
     assert got.history == [row]
@@ -289,7 +303,8 @@ def test_es_step_numeric_failure_names_first_failing_candidate_rollout():
     # 8, which straddles the block boundary, at its rollout 24 (row 264)
     env = tradeoff_spread()
     noise = NoiseConfig(kind="reward", sigma=6e307)
-    cfg = EsConfig(arch=(1, 2, 1), popsize=10, fitness_mode="repro", n_reevals=30)
+    cfg = EsConfig(arch=WIDE_BANDIT_ARCH, popsize=10, fitness_mode="repro", n_reevals=30)
+    assert 8 * 30 < block_boundary_in_candidate(env, cfg) < 9 * 30
     state = EsState(center=init_center(cfg, 10))
     stream = derive_stream(10, "es-gen", 0)
     with pytest.raises(NumericFailure) as got:
@@ -298,7 +313,7 @@ def test_es_step_numeric_failure_names_first_failing_candidate_rollout():
     # mean and std; es_step runs every rollout before it reduces any
     with pytest.raises(NumericFailure) as ref, np.errstate(all="ignore"):
         oracle = oracle_score(state.center, env, noise, cfg, stream)
-        _generation(state.center.theta, 0, cfg, stream, oracle)
+        _generation(state.center.theta, 0, cfg, stream.generator(), oracle)
     assert (got.value.rollout_index, got.value.step) == (ref.value.rollout_index, ref.value.step)
     assert str(got.value) == str(ref.value)
     assert got.value.rollout_index == 24
@@ -399,8 +414,9 @@ def test_res_train_theta_golden():
 
 
 def test_res_es_step_derives_each_tag_once_and_reuses_master_prefixes(monkeypatch):
-    cfg = small_cfg(fitness_mode="repro", popsize=20, n_reevals=32)
-    assert cfg.popsize * cfg.n_reevals > 2 * BLOCK_ROWS
+    cfg = small_cfg(arch=WIDE_BANDIT_ARCH, fitness_mode="repro", popsize=20, n_reevals=30)
+    # a generation of three blocks, and so a chunk of one generation
+    assert cfg.popsize * cfg.n_reevals > 2 * block_boundary_in_candidate(tradeoff_spread(), cfg)
     calls, real = [], core.stream_states
 
     def counting(seeds, index, tag):
@@ -413,12 +429,75 @@ def test_res_es_step_derives_each_tag_once_and_reuses_master_prefixes(monkeypatc
     prefixes, real_entropy = [], core._tag_entropy
     monkeypatch.setattr(core, "_tag_entropy", lambda tag: prefixes.append(tag) or real_entropy(tag))
     core._prefix_pools.cache_clear()
+    optim._chunk.cache_clear()
     state = EsState(center=init_center(cfg, 3))
     state = es_step(state, cfg, tradeoff_spread(), NoiseConfig(), derive_stream(3, GEN_TAG, 0))
-    # one call per tag for all blocks of the generation
-    assert sorted(calls) == sorted([ENV_TAG, FIT_TAG])
+    # one call per tag for all blocks of the generation; the generation
+    # stream's words come from the chunk's own call
+    assert sorted(calls) == sorted([ENV_TAG, FIT_TAG, GEN_TAG])
     assert set(prefixes) == {ENV_TAG, FIT_TAG, GEN_TAG, "es-init"}
     prefixes.clear()
     es_step(state, cfg, tradeoff_spread(), NoiseConfig(), derive_stream(3, GEN_TAG, 1))
     # only the new generation's eval seeds need a new prefix
     assert prefixes == [ENV_TAG]
+
+
+# (env, noise, ES settings): runs whose chunks hold several generations
+CHUNK_CASES = [
+    (tradeoff_spread(), NoiseConfig(kind="reward"),
+     dict(arch=(1, 8, 1), popsize=32, fitness_mode="repro", n_reevals=32)),
+    (tradeoff_spread(), NoiseConfig(kind="action"), dict(arch=(1, 8, 1), popsize=64)),
+    (point_mass_nav(episode_length=10), NoiseConfig(kind="obs"),
+     dict(arch=(4, 3, 2), popsize=16, fitness_mode="repro", n_reevals=4)),
+    (point_mass_nav(episode_length=10), NoiseConfig(kind="init-state"),
+     dict(arch=(4, 3, 2), popsize=64)),
+]
+CHUNK_IDS = ["bandit-repro", "bandit-plain", "pm-repro", "pm-plain"]
+
+
+def chunk_generations(env, cfg):
+    """Generations per chunk under `block_rows`, asserted to be several."""
+    n = cfg.n_reevals if cfg.fitness_mode == "repro" else 1
+    size = block_rows(env, param_count(cfg.arch)) // (cfg.popsize * n)
+    assert size > 1
+    return size
+
+
+@pytest.mark.parametrize("env, noise, es", CHUNK_CASES, ids=CHUNK_IDS)
+def test_train_equals_es_steps_of_one_generation_chunks(monkeypatch, env, noise, es):
+    size = chunk_generations(env, EsConfig(**es))
+    for generations in (0, 1, size + 1):
+        cfg = EsConfig(sigma_es=0.5, generations=generations, **es)
+        got = train(cfg, env, noise, 5)
+        with monkeypatch.context() as m:
+            # a block of one row: every generation is a chunk of its own
+            m.setattr(optim, "block_rows", lambda *args: 1)
+            optim._chunk.cache_clear()
+            want = EsState(center=init_center(cfg, 5))
+            for g in range(generations):
+                want = es_step(want, cfg, env, noise, derive_stream(5, GEN_TAG, g))
+        optim._chunk.cache_clear()
+        assert np.array_equal(got.center.theta, want.center.theta), generations
+        assert got.history == want.history, generations
+        assert got.generation == want.generation == generations
+
+
+@pytest.mark.parametrize("env, noise, es", CHUNK_CASES, ids=CHUNK_IDS)
+def test_train_derives_each_tag_once_per_chunk(monkeypatch, env, noise, es):
+    size = chunk_generations(env, EsConfig(**es))
+    # a chunk, then one generation more: two chunks
+    cfg = EsConfig(generations=size + 1, **es)
+    calls, real = [], core.stream_states
+
+    def counting(seeds, index, tag):
+        calls.append(tag)
+        return real(seeds, index, tag)
+
+    monkeypatch.setattr(rollout, "stream_states", counting)
+    monkeypatch.setattr(optim, "stream_states", counting)
+    optim._chunk.cache_clear()
+    train(cfg, env, noise, 6)
+    tags = [GEN_TAG, FIT_TAG, rollout.INIT_TAG if noise.kind == "init-state" else rollout.NOISE_TAG]
+    if env.family == "bandit":
+        tags.append(ENV_TAG)
+    assert sorted(calls) == sorted(2 * tags)

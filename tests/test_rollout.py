@@ -7,7 +7,8 @@ from reference_rollout import count_generators, count_seed_sequences, reference_
 from repro_rl.core import ConstantPolicy, NumericFailure, PolicyParams, param_count
 from repro_rl.envs import flat_mean_spread, point_mass_nav, tradeoff_spread
 from repro_rl.noise import NoiseConfig
-from repro_rl.rollout import EvalConfig, evaluate, rollout_once
+from repro_rl import rollout
+from repro_rl.rollout import BLOCK_VALUES, EvalConfig, _rollouts, block_rows, evaluate, rollout_once
 
 ALL_KINDS = ["none", "action", "obs", "reward", "param", "init-state", "dynamics"]
 
@@ -98,7 +99,7 @@ ROW_CASES = [
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 @pytest.mark.parametrize("noise,make_env,arch", ROW_CASES)
 def test_rollout_rows_bit_identical_across_batch_size_and_jobs(noise, make_env, arch, activation):
-    # N=300 crosses the engine's 256-row block boundary.
+    # N=300 crosses the point-mass engine's 256-row block boundary.
     env = make_env()
     gen = np.random.default_rng(21)
     pol = PolicyParams(0.5 * gen.standard_normal(param_count(arch)), arch, activation)
@@ -271,3 +272,79 @@ def test_rollout_once_rejects_negative_seed_or_index(env, seed, index):
     pol = ConstantPolicy([0.5] * env.action_dim)
     with pytest.raises(ValueError, match="non-negative"):
         rollout_once(pol, env, NoiseConfig(), seed, index)
+
+
+def test_point_mass_blocks_keep_256_rows():
+    # evaluate's rows share the policy's parameters; a training generation
+    # of the workloads' point-mass archs (popsize 8) fits one block
+    env = point_mass_nav()
+    assert block_rows(env) == 256
+    for arch in [(4, 16, 16, 2), (4, 32, 2)]:
+        assert block_rows(env, param_count(arch)) >= 8
+
+
+def test_one_step_bandit_generation_is_one_block(monkeypatch):
+    # an R-ES generation of criterion 08: 32 candidates x 32 re-evaluations
+    env, arch = tradeoff_spread(), (1, 8, 1)
+    assert block_rows(env, param_count(arch)) >= 32 * 32
+    blocks, real = [], rollout._run_block
+    monkeypatch.setattr(rollout, "_run_block", lambda *a: blocks.append(len(a[4])) or real(*a))
+    thetas = np.zeros((32, param_count(arch)))
+    _rollouts(random_policy(1, arch=arch), env, NoiseConfig(), list(range(32)), 32, thetas)
+    assert blocks == [1024]
+
+
+@pytest.mark.parametrize("arch", [(1, 8, 1), (1, 232, 1), (1, 4096, 1), (1, 512, 512, 1)])
+@pytest.mark.parametrize("make_env", [tradeoff_spread, point_mass_nav])
+def test_block_rows_stay_within_the_value_budget(make_env, arch):
+    env = make_env()
+    arch = (env.state_dim, *arch[1:-1], env.action_dim)
+    per_row = env.episode_length * (env.state_dim + env.action_dim + 1) + param_count(arch)
+    rows = block_rows(env, param_count(arch))
+    # as many rows as fit, and at least one even when one row does not
+    assert rows == max(1, BLOCK_VALUES // per_row)
+    assert rows * per_row <= BLOCK_VALUES or rows == 1
+    # wider rows never get more rows
+    assert rows <= block_rows(env)
+
+
+@pytest.mark.parametrize(
+    "noise, rows",
+    [(NoiseConfig(kind="obs"), [600]), (NoiseConfig(kind="param"), [256, 256, 88]),
+     (NoiseConfig(kind="param", resample="per-step"), [120] * 5)],
+    ids=["obs", "param", "param-per-step"],
+)
+def test_parameter_noise_rows_count_their_own_parameters(monkeypatch, noise, rows):
+    # under parameter noise each row carries its own 697 perturbed parameters
+    # (700 values a row); per-step noise adds its draws and a generator
+    blocks, real = [], rollout._run_block
+    monkeypatch.setattr(rollout, "_run_block", lambda *a: blocks.append(len(a[4])) or real(*a))
+    pol = random_policy(2, arch=(1, 232, 1))
+    evaluate(pol, tradeoff_spread(), noise, EvalConfig(600, 1))
+    assert blocks == rows
+
+
+def test_block_rows_at_least_one_for_any_episode_length():
+    env = point_mass_nav(episode_length=10 * BLOCK_VALUES)
+    assert block_rows(env) == block_rows(env, 10**9) == 1
+
+
+@pytest.mark.parametrize("values", [1, 700, 5000])
+@pytest.mark.parametrize(
+    "make_env, noise",
+    [
+        (tradeoff_spread, NoiseConfig(kind="reward")),
+        (point_mass_nav, NoiseConfig(kind="obs")),
+        (point_mass_nav, NoiseConfig(kind="param", resample="per-step")),
+    ],
+    ids=["bandit-reward", "pm-obs", "pm-param-per-step"],
+)
+def test_rollouts_bits_do_not_depend_on_the_block_budget(monkeypatch, make_env, noise, values):
+    env = make_env(episode_length=5) if make_env is point_mass_nav else make_env()
+    pol = random_policy(4, arch=(env.state_dim, 6, env.action_dim))
+    thetas = pol.theta + 0.1 * np.random.default_rng(5).standard_normal((3, pol.theta.size))
+    want = _rollouts(pol, env, noise, [3, 4, 5], 40, thetas, True)
+    monkeypatch.setattr(rollout, "BLOCK_VALUES", values)
+    got = _rollouts(pol, env, noise, [3, 4, 5], 40, thetas, True)
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
