@@ -24,8 +24,8 @@ from .stats import (
 
 PERF_ESTIMATORS = tuple(PERFORMANCE)
 DISP_ESTIMATORS = tuple(DISPERSION)
-# Differences a pairwise-distance block holds at most (at least one row): the
-# temporaries fit in L2 cache.
+# Differences a pairwise-distance block, or Gram entries a Gram block, holds at
+# most (at least one row): the temporaries fit in L2 cache.
 _BLOCK_VALUES = 2**16
 
 
@@ -139,52 +139,80 @@ def require_points(n: int) -> None:
 def pairwise_mad(points: np.ndarray) -> float:
     """mad(pairwise_distances(points)) of one (n, d) point set, bit for bit, with
     exact distances only for pairs whose Gram-matrix distance is near the median
-    or the MAD; other inputs, or windows of over a quarter of the pairs, use all."""
+    or the MAD; other inputs, windows of over a quarter of the pairs, or windows
+    whose exact distances contradict the error bound, use all."""
     x = np.asarray(points, dtype=np.float64)
-    a, bound = _gram_distances(x)
-    if a is not None:
-        med = _near_median(a, 4 * bound, lambda idx: _exact_distances(x, idx))
+    w, scale, bound = _gram_distances(x)
+    if w is not None:
+        eps = 2 * bound * scale  # in w's units, where the bound holds twice over
+        med = _near_median(w, eps, lambda idx: _and_scaled(_exact_distances(x, idx), scale))
         if med is not None:
-            np.abs(np.subtract(a, med, out=a), out=a)
-            dev = _near_median(a, 4 * bound, lambda idx: np.abs(_exact_distances(x, idx) - med))
+            np.abs(np.subtract(w, np.float32(med * scale), out=w), out=w)
+            dev = _near_median(w, eps, lambda idx: _and_scaled(
+                np.abs(_exact_distances(x, idx) - med), scale))
             if dev is not None:
                 return float(dev)
-        del a
+        del w
     return mad(pairwise_distances(x))  # with its errors
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow leaves r not finite
 def _gram_distances(x: np.ndarray):
-    """(a, bound): condensed distances a of finite (n >= 2, d) points x from the
-    Gram matrix of the centred points c, in row blocks of at most _BLOCK_VALUES
-    values, and bound >= every |a - pairwise_distances(x)|. Else (None, None)."""
+    """(w, scale, bound): condensed distances a of finite (n >= 2, d) points x from
+    the Gram matrix of the centred points c, each row block of at most
+    _BLOCK_VALUES values finished in float64, and stored as float32 w = a * scale,
+    scale a power of two. bound >= every |w / scale - dist|, dist =
+    pairwise_distances(x), and every |m / scale - |dist - med||, m the float32
+    |w - float32(med * scale)| of the MAD stage, med one of dist. Else Nones."""
     if x.ndim != 2 or len(x) < 2 or not np.all(np.isfinite(x)):
-        return None, None
+        return None, None, None
     n, d = x.shape
     c = x - x.mean(axis=0)
     sq = np.einsum("ij,ij->i", c, c)
     # With u = 2**-53, g = γ_{d+4} = (d+4)u/(1 - (d+4)u), η = 2**-1074 and r >=
     # all |x_i - mean| and |c_i| (from the top norm², its γ_d error, dη/2 of
-    # underflow and 1 - u for centring), bound = 2r(√g + 2g) + 3√((d+4)η) sums:
-    # centring's rounding, 2ur (underflowing subtraction is exact); √ of a²'s
-    # error (|√p - √q| <= √|p - q|), 2r√g + √(2(d+1)η), as norms² and Gram
+    # underflow and 1 - u for centring), b = 2r(√g + 2g) + 3√((d+4)η) >= |a - dist|
+    # sums: centring's rounding, 2ur (underflowing subtraction is exact); √ of
+    # a²'s error (|√p - √q| <= √|p - q|), 2r√g + √(2(d+1)η), as norms² and Gram
     # entries in any summation order, FMA or not, err by γ_d|c_i|², γ_d|c_i||c_j|
     # and dη/2 for underflowing products, the assembly rounds twice and the clamp
     # at 0 only shrinks it; √'s rounding, u(2r + 2r√g + √(2(d+1)η)); dist's own
-    # error, γ_{d+3}·2r + √((d+1)η/2)(1 + u). The MAD stage's |a - m|, |dist - m|
-    # add u(2r + bound) each, < bound as bound >= 4r√u: eps = 4·bound is 2x safe.
+    # error, γ_{d+3}·2r + √((d+1)η/2)(1 + u).
+    # scale = 2**-e with r < 2**e <= 2r, and a <= 2r + b <= 5r + 2r(√g + 2g)
+    # (√((d+4)η) <= r), so w < 16 fits float32 for any accepted r; a * scale is
+    # exact unless it falls in float64's subnormals. With v = 2**-24 and every
+    # a, med, w / scale and m32 / scale <= 2r + b + t, one float32 rounding of a
+    # value up to 2r + b errs by t = v(2r + b) + 2**-149 / scale (float32's
+    # subnormal spacing, with a * scale's own underflow) in x's units. bound =
+    # b + 4t sums b; t for storing a; t for m32 = float32(med * scale);
+    # v(2r + b + t) <= t + vt for the float32 |w - m32|; u(2r + b) < t/2**29
+    # for dist's |dist - med|.
     g = (d + 4) * 2.0**-53 / (1 - (d + 4) * 2.0**-53)
     r = math.sqrt(sq.max() + (d + 4) * 2.0**-1074) * (1 + g)
     if not r < 2.0**510 or not sq.any():  # squares could pass 2**1022; all norms² 0
-        return None, None
-    a, pos, rows = np.empty(n * (n - 1) // 2), 0, max(1, _BLOCK_VALUES // n)
+        return None, None, None
+    scale = 2.0 ** -math.frexp(r)[1]
+    rows = max(1, _BLOCK_VALUES // n)
+    upper = np.arange(n) > np.arange(rows)[:, None]  # row k's pairs j > k of a block
+    w, pos = np.empty(n * (n - 1) // 2, dtype=np.float32), 0
     for i in range(0, n - 1, rows):
-        block = sq[i : i + rows, None] + (sq[i:] - 2.0 * (c[i : i + rows] @ c[i:].T))
-        for k, row in enumerate(block[: n - 1 - i]):
-            a[pos : pos + n - 1 - i - k] = row[k + 1 :]
-            pos += n - 1 - i - k
-    np.sqrt(np.maximum(a, 0.0, out=a), out=a)
-    return a, 2 * r * (math.sqrt(g) + 2 * g) + 3 * math.sqrt((d + 4) * 2.0**-1074)
+        m = min(rows, n - 1 - i)
+        block = c[i : i + m] @ c[i:].T
+        block *= -2.0
+        block += sq[i:]
+        block += sq[i : i + m, None]
+        np.sqrt(np.maximum(block, 0.0, out=block), out=block)
+        count = m * (n - 1 - i) - m * (m - 1) // 2
+        np.multiply(block[upper[:m, : n - i]], scale, out=w[pos : pos + count], casting="same_kind")
+        pos += count
+    b = 2 * r * (math.sqrt(g) + 2 * g) + 3 * math.sqrt((d + 4) * 2.0**-1074)
+    t = 2.0**-24 * (2 * r + b) + 2.0**-149 / scale
+    return w, scale, b + 4 * t
+
+
+def _and_scaled(values: np.ndarray, scale: float):
+    """(values, values * scale): exact values in x's units and in w's."""
+    return values, values * scale
 
 
 def _exact_distances(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -199,17 +227,32 @@ def _exact_distances(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
+def _float32_below(value: float) -> np.float32:
+    """The largest float32 <= value, compared in float64 (numpy 1.x and 2 alike)."""
+    f = np.float32(value)
+    return np.nextafter(f, np.float32(-np.inf)) if float(f) > value else f
+
+
 def _near_median(w: np.ndarray, eps: float, exact):
-    """np.median of v, given w with |w - v| <= eps and exact(idx) = v[idx], or
-    None when over a quarter of v is needed. v's median order statistics lie
-    among the v whose w is within 2 eps of w's; those below are smaller."""
+    """np.median of v, given float32 w with |w - s·v| <= eps for some s > 0 and
+    exact(idx) = (v[idx], s·v[idx]); None when over a quarter of v is needed, or
+    when an exact value in the window is over eps from its w, or either middle
+    one is within eps of an edge. v's median order statistics lie among the v
+    whose w is within 2 eps of w's (edges rounded outward, then to float32);
+    those below are smaller, since their s·v < lo + eps."""
     k0, k1 = (len(w) - 1) // 2, len(w) // 2
-    mid = middle_values(w)
-    lo, hi = np.nextafter([mid[0] - 2 * eps, mid[-1] + 2 * eps], [-np.inf, np.inf])
+    mid = middle_values(w).astype(np.float64)
+    lo = _float32_below(np.nextafter(mid[0] - 2 * eps, -np.inf))
+    hi = -_float32_below(-np.nextafter(mid[-1] + 2 * eps, np.inf))
     idx = np.flatnonzero((w >= lo) & (w <= hi))
     if len(idx) > len(w) // 4:
         return None
-    below, near = np.count_nonzero(w < lo), np.sort(exact(idx))
+    below = np.count_nonzero(w < lo)
+    v, sv = exact(idx)
+    near, snear = np.sort(v), np.sort(sv)
+    if not (np.all(np.abs(w[idx] - sv) <= eps)
+            and snear[k0 - below] >= float(lo) + eps and snear[k1 - below] <= float(hi) - eps):
+        return None
     return PERFORMANCE["median"](near[k0 - below : k1 - below + 1])
 
 

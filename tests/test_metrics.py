@@ -271,15 +271,18 @@ def _outcome(fn, pts):
 
 
 def _assert_gram_bound_holds(pts):
-    a, bound = metrics._gram_distances(pts)
-    if a is None:  # only where every centred norm² is 0 (no width, or underflow)
+    w, scale, bound = metrics._gram_distances(pts)
+    if w is None:  # only where every centred norm² is 0 (no width, or underflow)
         c = pts - pts.mean(axis=0)
         assert not np.einsum("ij,ij->i", c, c).any()
         return
+    assert w.dtype == np.float32 and np.frexp(scale)[0] == 0.5  # a power of two
     dist = pairwise_distances(pts)
+    a = w.astype(np.float64) / scale  # unscaled, exactly
     assert np.max(np.abs(a - dist)) <= bound
-    m = np.median(dist)  # the MAD stage's values are within twice the bound
-    assert np.max(np.abs(np.abs(a - m) - np.abs(dist - m))) <= 2 * bound
+    m = np.median(dist)  # the MAD stage's values as pairwise_mad computes them
+    dev = np.abs(w - np.float32(m * scale)).astype(np.float64) / scale
+    assert np.max(np.abs(dev - np.abs(dist - m))) <= bound
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 7, 8, 9, 128, 129, 400])
@@ -305,26 +308,75 @@ def _adversarial_points():
         "scale 1e-200": 1e-200 * gen.standard_normal((50, 9)),
         "scale 1e200": 1e200 * gen.standard_normal((50, 9)),
         "mixed scales": gen.standard_normal((60, 6)) * np.logspace(-150, 150, 6),
+        # 50 points within 1e-42 of each other and two at about ±1, so the
+        # cluster sits at the mean and most scaled distances are float32 subnormals
+        "subnormal cluster": np.vstack(
+            [1e-42 * gen.standard_normal((50, 4)), np.ones((1, 4)), -np.ones((1, 4))]),
     }
 
 
+# The adversarial inputs whose MAD comes from the filter's windows; the others
+# take all pairs, with float32 storage as with float64 before it.
+_FILTERED = {"lattice, even pair count", "lattice, odd pair count", "near-duplicates",
+             "offset 1e8", "mixed scales"}
+
+
 @pytest.mark.parametrize("name", list(_adversarial_points()))
-def test_pairwise_mad_bit_equal_on_adversarial_points(name):
+def test_pairwise_mad_bit_equal_on_adversarial_points(monkeypatch, name):
     pts = _adversarial_points()[name]
+    calls = []
+    all_pairs = metrics.pairwise_distances
+    monkeypatch.setattr(metrics, "pairwise_distances", lambda p: (calls.append(1), all_pairs(p))[1])
     # outcomes match with overflow warnings raised (the suite's setting) and
     # ignored, when the 1e200 distances fail mad's finiteness check
     assert _outcome(pairwise_mad, pts) == _outcome(_mad_of_all_pairs, pts)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert _outcome(pairwise_mad, pts) == _outcome(_mad_of_all_pairs, pts)
+    assert (not calls) == (name in _FILTERED)
     if name == "scale 1e200":
-        assert metrics._gram_distances(pts) == (None, None)  # squares could overflow
+        assert metrics._gram_distances(pts) == (None, None, None)  # squares could overflow
         return
     _assert_gram_bound_holds(pts)
     if name.startswith("lattice"):
         dist = pairwise_distances(pts)
         dev = np.abs(dist - np.median(dist))
         assert np.sum(dist == np.median(dist)) > 1 and np.sum(dev == np.median(dev)) > 1
+
+
+def test_pairwise_mad_falls_back_when_the_bound_does_not_hold(monkeypatch):
+    # Gram distances off by about 0.1% while the bound claims 0: the window's
+    # exact distances contradict it, so the call takes all pairs
+    gram = metrics._gram_distances
+
+    def wrong(x):
+        w, *rest, _ = gram(x)
+        z = np.random.default_rng(len(w)).standard_normal(len(w))
+        return (w * (1 + 1e-3 * z)).astype(w.dtype), *rest, 0.0
+
+    monkeypatch.setattr(metrics, "_gram_distances", wrong)
+    for seed in range(20):
+        pts = np.cumsum(np.random.default_rng(seed).standard_normal((200, 50)), axis=1)
+        assert _bits(pairwise_mad(pts)) == _bits(_mad_of_all_pairs(pts)), seed
+
+
+def test_near_median_keeps_exact_ties_at_both_window_edges():
+    # three w ties on each float32 window edge, and three on each of mid ± 2 eps
+    # just inside it: the window holds all 12 (none counted below), and the
+    # median is np.median(v), bit for bit
+    eps, s, mid = 2.0**-10, 2.0**-3, [1.0, 1 + 2.0**-12]
+    lo = float(metrics._float32_below(np.nextafter(mid[0] - 2 * eps, -np.inf)))
+    hi = -float(metrics._float32_below(-np.nextafter(mid[1] + 2 * eps, np.inf)))
+    assert lo < mid[0] - 2 * eps and hi > mid[1] + 2 * eps
+    edges = [lo] * 3 + [mid[0] - 2 * eps] * 3 + mid + [mid[1] + 2 * eps] * 3 + [hi] * 3
+    w = np.float32([0.25] * 30 + edges + [4.0] * 30)
+    off = [eps / 2] * 6 + [-eps / 2, eps / 2] + [-eps / 2] * 6
+    sv = w.astype(np.float64) + np.array([0.0] * 30 + off + [0.0] * 30)
+    v = sv / s
+    seen = []
+    got = metrics._near_median(w, eps, lambda idx: (seen.append(idx), (v[idx], s * v[idx]))[1])
+    assert _bits(got) == _bits(np.median(v))
+    assert seen[0].tolist() == list(range(30, 44))
 
 
 @pytest.mark.parametrize("block_values", [None, 12])
@@ -350,8 +402,13 @@ def test_pairwise_mad_recomputes_under_one_percent_of_random_walk_pairs(monkeypa
     assert len(counts) == 2 and 0 < sum(counts) < 0.01 * (1024 * 1023 // 2), counts
 
 
-def test_pairwise_mad_peak_memory_within_the_all_pairs_path():
-    pts = np.cumsum(np.random.default_rng(9).standard_normal((1024, 400)), axis=1)
+@pytest.mark.parametrize("d, share", [(400, 0.6), (2, 0.4)])
+def test_pairwise_mad_peak_memory_within_the_all_pairs_path(d, share):
+    # All pairs peak at N(N-1)/2 float64 distances and two deviation arrays
+    # (12 MiB at N=1024). The filter holds the float32 distances (2 MiB) and a
+    # float32 partition copy or a block's temporaries, plus the centred points
+    # (3.1 MiB at d=400): about 6.2 and 4.0 MiB.
+    pts = np.cumsum(np.random.default_rng(9).standard_normal((1024, d)), axis=1)
     peaks = []
     for fn in (_mad_of_all_pairs, behavioural_mad):
         tracemalloc.start()
@@ -362,6 +419,7 @@ def test_pairwise_mad_peak_memory_within_the_all_pairs_path():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 2**19, peaks
+    assert peaks[1] <= share * peaks[0], peaks
 
 
 @pytest.mark.parametrize("pts", [
