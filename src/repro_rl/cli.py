@@ -319,7 +319,10 @@ def cmd_evaluate(args) -> int:
         policies = [(policies[0][0], _policy_id(args.policy_id, "--policy-id", ConfigError),
                      policies[0][2])]
 
-    single_file = len(policies) == 1 and len(cfg.seeds) == 1 and args.out.endswith(".json")
+    single_file = args.out.endswith(".json")
+    if single_file and len(policies) * len(cfg.seeds) > 1:
+        raise ConfigError(f"--out {args.out} names one file, {len(policies)} policies x "
+                          f"{len(cfg.seeds)} seeds make {len(policies) * len(cfg.seeds)} artifacts")
     for (policy, policy_id, algo), seed in itertools.product(policies, cfg.seeds):
         eval_cfg = EvalConfig(cfg.n_evals, seed, record_state_marginal=cfg.record_state_marginal)
         try:

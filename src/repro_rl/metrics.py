@@ -27,6 +27,10 @@ DISP_ESTIMATORS = tuple(DISPERSION)
 # Differences a pairwise-distance block, or Gram entries a Gram block, holds at
 # most (at least one row): the temporaries fit in L2 cache.
 _BLOCK_VALUES = 2**16
+# The certified filter brackets the middle ranks of its distances with a strided
+# sample of about _SAMPLE of them (all when fewer), _MARGIN sample ranks past its
+# middle ones: four standard deviations of a middle rank in a random sample.
+_SAMPLE, _MARGIN = 2**14, 2**8
 
 
 @dataclass(frozen=True)
@@ -156,19 +160,60 @@ def pairwise_mad(points: np.ndarray) -> float:
     return mad(pairwise_distances(x))  # with its errors
 
 
+def _tiles(n: int, d: int):
+    """(q, m) of n points of width d: rows of the centred points a tile holds,
+    at most _BLOCK_VALUES values (all n when they fit), and rows of a group, with
+    q a multiple of m and an m x q Gram block of at most _BLOCK_VALUES values."""
+    q = max(1, min(n, _BLOCK_VALUES // max(1, d)))
+    m = max(1, min(q, _BLOCK_VALUES // q))
+    return q // m * m, m
+
+
+def _pairs(n: int, d: int, idx: np.ndarray):
+    """Points i < j of the pairs at positions idx of the w of n points of width d.
+    w holds the pairs of each group of m rows in turn: those within the group,
+    row by row, then those with the later points, row by row."""
+    m = _tiles(n, d)[1]
+    g = np.arange(0, n, m)[:, None]
+    i = g + np.arange(m)  # each group's rows; the last group's may pass n
+    e = np.minimum(g + m, n)
+    # Runs of pairs (i, first), (i, first + 1), ...: each group's runs within
+    # it, then its runs with the points from e on; runs past n are empty.
+    rows, firsts, lens = (np.stack(np.broadcast_arrays(*pair), axis=1).ravel() for pair in (
+        (i, i), (i + 1, e), (np.maximum(e - 1 - i, 0), np.where(i < n, n - e, 0))))
+    starts = np.cumsum(lens) - lens
+    run = np.searchsorted(starts, idx, side="right") - 1  # the last run starting at or before
+    return rows[run], firsts[run] + idx - starts[run]
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow leaves r not finite
 def _gram_distances(x: np.ndarray):
-    """(w, scale, bound): condensed distances a of finite (n >= 2, d) points x from
-    the Gram matrix of the centred points c, each row block of at most
-    _BLOCK_VALUES values finished in float64, and stored as float32 w = a * scale,
-    scale a power of two. bound >= every |w / scale - dist|, dist =
-    pairwise_distances(x), and every |m / scale - |dist - med||, m the float32
-    |w - float32(med * scale)| of the MAD stage, med one of dist. Else Nones."""
+    """(w, scale, bound): the distances a of all pairs of finite (n >= 2, d) points
+    x, in the order `_pairs` maps, from the Gram matrix of the centred points c,
+    and stored as float32 w = a * scale, scale a power of two. bound >= every
+    |w / scale - dist|, dist the pair's pairwise_distances(x), and every
+    |m / scale - |dist - med||, m the float32 |w - float32(med * scale)| of the
+    MAD stage, med one of dist. Else Nones. c is held one tile of q rows at a
+    time (`_tiles`), recentred when a group needs it again; each group of m rows
+    takes one Gram block per tile, finished in float64."""
     if x.ndim != 2 or len(x) < 2 or not np.all(np.isfinite(x)):
         return None, None, None
     n, d = x.shape
-    c = x - x.mean(axis=0)
-    sq = np.einsum("ij,ij->i", c, c)
+    q, m = _tiles(n, d)
+    mean = x.mean(axis=0)
+    tiles = range(0, n, q)
+    bufs, held = np.empty((2, min(q, n), d)), [None, None]  # two tiles of c, and their first rows
+
+    def centred(j, slot):  # c's tile from row j, in bufs[slot]
+        if held[slot] != j:
+            held[slot] = j
+            np.subtract(x[j : j + q], mean, out=bufs[slot, : min(q, n - j)])
+        return bufs[slot, : min(q, n - j)]
+
+    sq = np.empty(n)
+    for j in reversed(tiles):  # ending on the first group's tile
+        c = centred(j, 0)
+        sq[j : j + q] = np.einsum("ij,ij->i", c, c)
     # With u = 2**-53, g = γ_{d+4} = (d+4)u/(1 - (d+4)u), η = 2**-1074 and r >=
     # all |x_i - mean| and |c_i| (from the top norm², its γ_d error, dη/2 of
     # underflow and 1 - u for centring), b = 2r(√g + 2g) + 3√((d+4)η) >= |a - dist|
@@ -192,19 +237,31 @@ def _gram_distances(x: np.ndarray):
     if not r < 2.0**510 or not sq.any():  # squares could pass 2**1022; all norms² 0
         return None, None, None
     scale = 2.0 ** -math.frexp(r)[1]
-    rows = max(1, _BLOCK_VALUES // n)
-    upper = np.arange(n) > np.arange(rows)[:, None]  # row k's pairs j > k of a block
-    w, pos = np.empty(n * (n - 1) // 2, dtype=np.float32), 0
-    for i in range(0, n - 1, rows):
-        m = min(rows, n - 1 - i)
-        block = c[i : i + m] @ c[i:].T
-        block *= -2.0
-        block += sq[i:]
-        block += sq[i : i + m, None]
-        np.sqrt(np.maximum(block, 0.0, out=block), out=block)
-        count = m * (n - 1 - i) - m * (m - 1) // 2
-        np.multiply(block[upper[:m, : n - i]], scale, out=w[pos : pos + count], casting="same_kind")
-        pos += count
+    w, pos, slot = np.empty(n * (n - 1) // 2, dtype=np.float32), 0, 0
+    buf, upper = np.empty(m * min(q, n)), np.arange(m) > np.arange(m)[:, None]  # row k's pairs j > k
+    for i in range(0, n - 1, m):
+        e, home = min(i + m, n), i // q * q
+        if held[slot] != home:  # the last group took it as its last tile, in the other slot
+            slot = 1 - slot
+        rows = centred(home, slot)[i - home : e - home]
+        own = (e - i) * (e - i - 1) // 2
+        later = w[pos + own : pos + own + (e - i) * (n - e)].reshape(e - i, n - e)
+        # The group's own tile first and the next tile last, so the next group
+        # finds its tile held when the groups are whole tiles.
+        for j in [home, *reversed(tiles[home // q + 1 :])]:
+            c = centred(j, slot if j == home else 1 - slot)[max(i, j) - j :]
+            block = np.matmul(rows, c.T, out=buf[: (e - i) * len(c)].reshape(e - i, len(c)))
+            block *= -2.0
+            block += sq[max(i, j) : max(i, j) + len(c)]
+            block += sq[i:e, None]
+            np.sqrt(np.maximum(block, 0.0, out=block), out=block)
+            if j == home:  # its first e - i columns are the group's own pairs
+                own_pairs = block[:, : e - i][upper[: e - i, : e - i]]
+                np.multiply(own_pairs, scale, out=w[pos : pos + own], casting="same_kind")
+                block = block[:, e - i :]
+            first = max(j, e) - e
+            np.multiply(block, scale, out=later[:, first : first + block.shape[1]], casting="same_kind")
+        pos += own + later.size
     b = 2 * r * (math.sqrt(g) + 2 * g) + 3 * math.sqrt((d + 4) * 2.0**-1074)
     t = 2.0**-24 * (2 * r + b) + 2.0**-149 / scale
     return w, scale, b + 4 * t
@@ -216,12 +273,12 @@ def _and_scaled(values: np.ndarray, scale: float):
 
 
 def _exact_distances(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """pairwise_distances(x)[idx], bit for bit: its operations on C-contiguous rows."""
-    starts = np.concatenate(([0], np.cumsum(np.arange(len(x) - 1, 1, -1))))  # row i's first pair
+    """The pairwise_distances(x) of w's pairs idx, bit for bit: its operations
+    on C-contiguous rows."""
+    i, j = _pairs(*x.shape, idx)
     out, step = np.empty(len(idx)), max(1, _BLOCK_VALUES // max(1, x.shape[1]))
     for s in range(0, len(idx), step):
-        i = np.searchsorted(starts, idx[s : s + step], side="right") - 1
-        diff = x[idx[s : s + step] - starts[i] + i + 1] - x[i]
+        diff = x[j[s : s + step]] - x[i[s : s + step]]
         np.multiply(diff, diff, out=diff)
         np.sqrt(np.add.reduce(diff, axis=-1, out=out[s : s + step]), out=out[s : s + step])
     return out
@@ -233,27 +290,74 @@ def _float32_below(value: float) -> np.float32:
     return np.nextafter(f, np.float32(-np.inf)) if float(f) > value else f
 
 
+def _edges(a: float, b: float, eps: float):
+    """float32 (lo, hi) holding [a - 2 eps, b + 2 eps]: its edges rounded outward
+    in float64, then to float32."""
+    lo = _float32_below(np.nextafter(float(a) - 2 * eps, -np.inf))
+    hi = -_float32_below(-np.nextafter(float(b) + 2 * eps, np.inf))
+    return lo, hi
+
+
+def _within(w: np.ndarray, lo, hi, cap: int):
+    """(idx, below): the positions of w's values in [lo, hi], ascending, and how
+    many are below lo, from passes over chunks of _BLOCK_VALUES values; None once
+    over `cap` values are in [lo, hi]."""
+    idx, count, below = [], 0, 0
+    for s in range(0, len(w), _BLOCK_VALUES):
+        chunk = w[s : s + _BLOCK_VALUES]
+        under = chunk < lo
+        below += np.count_nonzero(under)
+        idx.append(np.flatnonzero(np.logical_xor(chunk <= hi, under, out=under)) + s)
+        count += len(idx[-1])
+        if count > cap:
+            return None
+    return np.concatenate(idx), below
+
+
+def _window(w: np.ndarray, eps: float):
+    """(idx, below, lo, hi): w's window, the values within 2 eps of its middle
+    ones (`_edges`), and the count below it; None when over a quarter of w is
+    in it. The window is taken from a bracket when it lies in one: _edges of a
+    strided sample's order statistics _MARGIN ranks past its middle ones, which
+    then holds w's middle ranks too. Else from one partition of all of w."""
+    k0, k1, cap = (len(w) - 1) // 2, len(w) // 2, len(w) // 4
+    step = max(1, len(w) // _SAMPLE)
+    ranks = [max(0, k0 // step - _MARGIN), min((len(w) - 1) // step, k1 // step + _MARGIN)]
+    bracket = _edges(*np.sort(w[::step])[ranks], eps)
+    found = _within(w, *bracket, cap)
+    if found is not None:
+        idx, below = found
+        near, k = w[idx], k0 - below
+        if 0 <= k and k1 - below < len(near):
+            part = np.partition(near, k)  # ranks k0 and k1 of w are k and k + k1 - k0 here
+            lo, hi = _edges(part[k], part[k + 1 :].min() if k1 > k0 else part[k], eps)
+            if bracket[0] <= lo and hi <= bracket[1]:
+                inside = (near >= lo) & (near <= hi)
+                return idx[inside], below + np.count_nonzero(near < lo), lo, hi
+    mid = middle_values(w)
+    lo, hi = _edges(mid[0], mid[-1], eps)
+    found = _within(w, lo, hi, cap)
+    return None if found is None else (*found, lo, hi)
+
+
 def _near_median(w: np.ndarray, eps: float, exact):
     """np.median of v, given float32 w with |w - s·v| <= eps for some s > 0 and
     exact(idx) = (v[idx], s·v[idx]); None when over a quarter of v is needed, or
     when an exact value in the window is over eps from its w, or either middle
     one is within eps of an edge. v's median order statistics lie among the v
-    whose w is within 2 eps of w's (edges rounded outward, then to float32);
-    those below are smaller, since their s·v < lo + eps."""
-    k0, k1 = (len(w) - 1) // 2, len(w) // 2
-    mid = middle_values(w).astype(np.float64)
-    lo = _float32_below(np.nextafter(mid[0] - 2 * eps, -np.inf))
-    hi = -_float32_below(-np.nextafter(mid[-1] + 2 * eps, np.inf))
-    idx = np.flatnonzero((w >= lo) & (w <= hi))
-    if len(idx) > len(w) // 4:
+    whose w is within 2 eps of w's (`_window`); those below are smaller, since
+    their s·v < lo + eps."""
+    window = _window(w, eps)
+    if window is None:
         return None
-    below = np.count_nonzero(w < lo)
+    idx, below, lo, hi = window
+    k0, k1 = (len(w) - 1) // 2 - below, len(w) // 2 - below
     v, sv = exact(idx)
     near, snear = np.sort(v), np.sort(sv)
     if not (np.all(np.abs(w[idx] - sv) <= eps)
-            and snear[k0 - below] >= float(lo) + eps and snear[k1 - below] <= float(hi) - eps):
+            and snear[k0] >= float(lo) + eps and snear[k1] <= float(hi) - eps):
         return None
-    return PERFORMANCE["median"](near[k0 - below : k1 - below + 1])
+    return PERFORMANCE["median"](near[k0 : k1 + 1])
 
 
 def behavioural_mad(descriptors: np.ndarray) -> float:

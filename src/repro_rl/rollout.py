@@ -67,10 +67,10 @@ ENV_TAG = "env"
 # float64 values an engine block's rows count: 256 rows of 100-step
 # point-mass rollouts, each step's state, action and reward. It sizes blocks,
 # so memory does not grow with the number of rollouts; results do not depend
-# on it. It does not count the noise draws taken up front, the observed copy
-# of the states under obs noise, or the reward and return temporaries: a
-# 256-row point-mass block peaks at about 1.6x BLOCK_VALUES without noise,
-# 2.2x under dynamics noise and 2.7x under obs noise (tracemalloc).
+# on it. It does not count the noise draws taken up front (under obs noise
+# they become the observed states in place) or the reward and return
+# temporaries: a 256-row point-mass block peaks at about 1.6x BLOCK_VALUES
+# without noise and 2.2x under dynamics or obs noise (tracemalloc).
 BLOCK_VALUES = 256 * 100 * (4 + 2 + 1)
 # A row's own generator under per-step parameter noise (about 0.7 KiB).
 _GENERATOR_VALUES = 96
@@ -103,17 +103,23 @@ def _check_policy(policy: Policy, env_cfg: EnvConfig, noise_cfg: NoiseConfig) ->
         )
 
 
-def _normals(states: np.ndarray, size: tuple) -> np.ndarray:
-    """One row per row of stream state words: standard normals of shape `size`."""
-    out = np.empty((len(states), *size))
-    for r, words in enumerate(states):
-        out[r] = state_generator(words).standard_normal(size)
+@np.errstate(over="ignore")  # an overflowing draw fails its rollout's finiteness check
+def _normals(gens, out: np.ndarray, scale: float) -> np.ndarray:
+    """`out` (*size, rows), feature-major, filled with each row's generator's
+    standard normals of shape `size` (drawn as `standard_normal(size)` draws
+    them), times `scale`."""
+    row = np.empty(out.shape[:-1])
+    for r, gen in enumerate(gens):
+        gen.standard_normal(out=row)
+        out[..., r] = row
+    out *= scale
     return out
 
 
-def _rows_last(a: np.ndarray) -> np.ndarray:
-    """C-contiguous copy of `a` with its leading rows axis moved last."""
-    return np.ascontiguousarray(a.transpose(*range(1, a.ndim), 0))
+def _noise_draws(states: np.ndarray, size: tuple, scale: float) -> np.ndarray:
+    """scale times each row's standard normals of shape `size`, one row per row
+    of stream state words, as a feature-major (*size, rows) array."""
+    return _normals(map(state_generator, states), np.empty((*size, len(states))), scale)
 
 
 def _run_block(
@@ -136,47 +142,47 @@ def _run_block(
     n_params = 0 if base is None else len(base)
 
     # Feature-major: features first, rows last. path[t] is the true state
-    # before step t, seen[t] what the policy observes there.
+    # before step t, seen[t] what the policy observes there. Noise draws are
+    # taken up front and scaled by sigma once.
     path = np.empty((n_steps + 1, env_cfg.state_dim, n))
     path[0] = env_reset(env_cfg)[:, None]
     if kind == "init-state":
         k = n_init_dims(env_cfg)
-        path[0, :k] += sigma * _rows_last(_normals(states(INIT_TAG), (k,)))
+        path[0, :k] += _noise_draws(states(INIT_TAG), (k,), sigma)
     shape = episode_draw_shape(noise_cfg, env_cfg, n_params)
     if shape is not None:
-        eps = _rows_last(_normals(states(NOISE_TAG), shape))
+        eps = _noise_draws(states(NOISE_TAG), shape, sigma)
         if kind == "param":
-            base = base + sigma * eps
+            base = base + eps
     step_gens = None
     if kind == "param" and noise_cfg.resample == "per-step":
         step_gens = [state_generator(words) for words in states(NOISE_TAG)]
-        eps_t = np.empty((n, n_params))
+        eps_t = np.empty((n_params, n))
     elif base is not None:
         layers = dense_layers(base, policy.arch)
 
     seen = path
     if kind == "obs":
-        seen = np.empty_like(path)
-        seen[0] = path[0] + sigma * eps[0]
+        # The draws become the observations in place: seen[t] = path[t] + sigma eps[t].
+        seen = eps
+        seen[0] += path[0]
     actions = np.empty((n_steps, env_cfg.action_dim, n))
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(n_steps):
             if step_gens is not None:
-                for g, row in zip(step_gens, eps_t):
-                    g.standard_normal(out=row)
-                layers = dense_layers(base + sigma * _rows_last(eps_t), policy.arch)
+                layers = dense_layers(base + _normals(step_gens, eps_t, sigma), policy.arch)
             if base is None:
                 action = policy.action[:, None]
             else:
                 action = dense_forward(layers, policy.activation, seen[t])
             if kind == "action":
-                action = np.clip(action + sigma * eps[t], ACTION_LOW, ACTION_HIGH)
+                action = np.clip(action + eps[t], ACTION_LOW, ACTION_HIGH)
             actions[t] = action
             path[t + 1] = transition(env_cfg, path[t], action)
             if kind == "dynamics":
-                path[t + 1] += sigma * eps[t]
+                path[t + 1] += eps[t]
             if kind == "obs":
-                seen[t + 1] = path[t + 1] + sigma * eps[t + 1]
+                seen[t + 1] += path[t + 1]
 
         # Rewards are elementwise, so all steps' are taken at once, as (T, rows).
         u = 0.0
@@ -187,7 +193,7 @@ def _run_block(
         steps = (seen if kind == "obs" and noise_cfg.obs_affects_reward else path).swapaxes(0, 1)
         r = reward(env_cfg, steps[:, :-1], actions.swapaxes(0, 1), steps[:, 1:], u)
         if kind == "reward":
-            r = r + sigma * eps
+            r = r + eps
     # Row-major before the sum: pairwise summation's bits depend on the layout.
     rewards = np.ascontiguousarray(r.T)
 
@@ -237,8 +243,8 @@ def block_rows(env_cfg: EnvConfig, n_params: int = 0, noise_cfg: NoiseConfig = N
     one. A row counts each step's state, action and reward, plus the
     `n_params` parameters it carries of its own (a per-row theta, or its
     parameter noise); per-step parameter noise also counts each step's draws
-    and the row's generator. Other noise draws, the observed states under
-    obs noise and the reward temporaries are not counted (see BLOCK_VALUES)."""
+    and the row's generator. Other noise draws (the observed states under
+    obs noise) and the reward temporaries are not counted (see BLOCK_VALUES)."""
     per_row = env_cfg.episode_length * (env_cfg.state_dim + env_cfg.action_dim + 1) + n_params
     if noise_cfg.kind == "param" and noise_cfg.resample == "per-step":
         per_row += n_params + _GENERATOR_VALUES
@@ -281,7 +287,8 @@ def _rollouts(
         returns[start:stop] = block.episode_return
         descs[start:stop] = descriptor(env_cfg, block)
         if marginals is not None:
-            marginals[start:stop] = block.state_marginal()
+            marginals[start:stop].reshape(block.states.shape)[...] = block.states
+        del block  # before the next block is built: one block is alive at a time
     return {"returns": returns, "descriptors": descs, "state_marginals": marginals}
 
 

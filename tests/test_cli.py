@@ -947,6 +947,21 @@ def test_evaluate_directory_of_runs(tmp_path, capsys):
     assert not (tmp_path / "evals2").exists()
 
 
+@pytest.mark.parametrize("policies, seeds", [(1, "1,2"), (2, "5"), (2, "1,2")])
+def test_evaluate_json_out_with_several_artifacts_exits_2(tmp_path, capsys, policies, seeds):
+    # a .json --out names one file, so it cannot take policies x seeds > 1
+    cfg = write_config(tmp_path / "cfg.json", seeds=list(range(policies)))
+    runs = str(tmp_path / "runs")
+    assert main(["train", "--config", cfg, "--out", runs]) == 0
+    policy = runs if policies > 1 else os.path.join(runs, "train_es_seed0.json")
+    capsys.readouterr()
+    rc = main(["evaluate", "--config", cfg, "--policy", policy, "--seeds", seeds,
+               "--out", str(tmp_path / "res.json")])
+    count = policies * len(seeds.split(","))
+    assert f"make {count} artifacts" in _expect_one_line_error(capsys, rc, 2)
+    assert not (tmp_path / "res.json").exists()
+
+
 def test_readme_cli_quickstart(tmp_path, capsys, monkeypatch):
     # print-config -> train -> evaluate --policy runs/ -> report -> pareto, cut down
     monkeypatch.chdir(tmp_path)

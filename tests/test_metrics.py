@@ -1,10 +1,10 @@
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from tracing import traced_peak
 from repro_rl import metrics
 from repro_rl.core import EvalRecord
 from repro_rl.metrics import (
@@ -221,13 +221,7 @@ def test_pairwise_distances_temporaries_stay_within_a_block():
     # N=1024 state marginals of 400 values: 4 MiB of output, and at most 1 MiB
     # besides it for the differences
     pts = np.random.default_rng(3).standard_normal((1024, 400))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        out = pairwise_distances(pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: pairwise_distances(pts))
     assert peak <= out.nbytes + 2**20, peak
 
 
@@ -235,13 +229,7 @@ def test_pairwise_distances_stack_temporaries_stay_within_a_block():
     # 16 stacked (128, 400) slices: 1 MiB of output, and at most 1 MiB besides
     # it, so the differences of all slices together stay within one block
     pts = np.random.default_rng(4).standard_normal((16, 128, 400))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        out = pairwise_distances(pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: pairwise_distances(pts))
     assert peak <= out.nbytes + 2**20, peak
 
 
@@ -270,6 +258,15 @@ def _outcome(fn, pts):
         return type(e), str(e)
 
 
+def _w_order(pts):
+    # pairwise_distances' position of each of w's pairs, in w's order: every pair once
+    n = len(pts)
+    i, j = metrics._pairs(*pts.shape, np.arange(n * (n - 1) // 2))
+    order = i * n - i * (i + 1) // 2 + j - i - 1
+    assert np.all(i < j) and np.array_equal(np.sort(order), np.arange(n * (n - 1) // 2))
+    return order
+
+
 def _assert_gram_bound_holds(pts):
     w, scale, bound = metrics._gram_distances(pts)
     if w is None:  # only where every centred norm² is 0 (no width, or underflow)
@@ -277,7 +274,7 @@ def _assert_gram_bound_holds(pts):
         assert not np.einsum("ij,ij->i", c, c).any()
         return
     assert w.dtype == np.float32 and np.frexp(scale)[0] == 0.5  # a power of two
-    dist = pairwise_distances(pts)
+    dist = pairwise_distances(pts)[_w_order(pts)]
     a = w.astype(np.float64) / scale  # unscaled, exactly
     assert np.max(np.abs(a - dist)) <= bound
     m = np.median(dist)  # the MAD stage's values as pairwise_mad computes them
@@ -360,6 +357,59 @@ def test_pairwise_mad_falls_back_when_the_bound_does_not_hold(monkeypatch):
         assert _bits(pairwise_mad(pts)) == _bits(_mad_of_all_pairs(pts)), seed
 
 
+@pytest.mark.parametrize("block_values", [1, 5, 64, 1000])
+def test_gram_distances_cover_every_pair_at_any_tile_size(monkeypatch, block_values):
+    # tiles of one row up to all of them, groups that are whole tiles or parts of one
+    monkeypatch.setattr(metrics, "_BLOCK_VALUES", block_values)
+    gen = np.random.default_rng(16)
+    for n, d in [(2, 1), (3, 9), (17, 3), (60, 7), (61, 40)]:
+        pts = np.cumsum(gen.standard_normal((n, d)), axis=1)
+        assert _bits(pairwise_mad(pts)) == _bits(_mad_of_all_pairs(pts)), (n, d)
+        _assert_gram_bound_holds(pts)
+
+
+def _reference_window(w, eps):
+    # the window from one sort of all of w
+    mid = np.sort(w)[[(len(w) - 1) // 2, len(w) // 2]]
+    lo, hi = metrics._edges(mid[0], mid[1], eps)
+    idx = np.flatnonzero((w >= lo) & (w <= hi))
+    return None if len(idx) > len(w) // 4 else (idx, np.count_nonzero(w < lo), lo, hi)
+
+
+def _window_cases():
+    gen = np.random.default_rng(17)
+    for n, d in [(1024, 400), (1024, 2), (300, 5), (40, 2)]:
+        w, scale, bound = metrics._gram_distances(np.cumsum(gen.standard_normal((n, d)), axis=1))
+        eps = 2 * bound * scale
+        yield w, eps
+        yield np.abs(w - np.float32(np.median(w))), eps  # the MAD stage's values
+    yield np.float32(gen.integers(0, 4, 5000)), 0.5  # ties: over a quarter in the window
+    yield np.float32(gen.integers(0, 40, 5000)), 0.5
+    yield np.float32(gen.integers(0, 4000, 100000) / 7), 2.0**-12
+
+
+@pytest.mark.parametrize("one_value_sample", [False, True])
+def test_window_from_the_bracket_equals_the_window_from_a_sort(monkeypatch, one_value_sample):
+    # A one-value sample brackets w[0] alone, which misses the middle ranks of
+    # the random-walk distances, so their windows come from the full partition;
+    # by default only the small inputs' do.
+    full = []
+    middle_values = metrics.middle_values
+    monkeypatch.setattr(metrics, "middle_values", lambda w: (full.append(len(w)), middle_values(w))[1])
+    if one_value_sample:
+        monkeypatch.setattr(metrics, "_SAMPLE", 1)
+        monkeypatch.setattr(metrics, "_MARGIN", 0)
+    for k, (w, eps) in enumerate(_window_cases()):
+        got, want = metrics._window(w, eps), _reference_window(w, eps)
+        assert (got is None) == (want is None), k
+        if want is not None:
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], k
+    if one_value_sample:
+        assert full[:8] == [523776] * 4 + [44850] * 2 + [780] * 2, full
+    else:
+        assert all(n <= 5000 for n in full), full
+
+
 def test_near_median_keeps_exact_ties_at_both_window_edges():
     # three w ties on each float32 window edge, and three on each of mid ± 2 eps
     # just inside it: the window holds all 12 (none counted below), and the
@@ -388,7 +438,8 @@ def test_exact_distances_have_the_bits_of_pairwise_distances(monkeypatch, block_
         pts = np.cumsum(gen.standard_normal((23, d)), axis=1)
         idx = np.sort(gen.permutation(23 * 22 // 2)[:100])
         got = metrics._exact_distances(pts, idx)
-        assert np.array_equal(got.view(np.uint64), pairwise_distances(pts)[idx].view(np.uint64))
+        want = pairwise_distances(pts)[_w_order(pts)[idx]]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_pairwise_mad_recomputes_under_one_percent_of_random_walk_pairs(monkeypatch):
@@ -405,21 +456,15 @@ def test_pairwise_mad_recomputes_under_one_percent_of_random_walk_pairs(monkeypa
 @pytest.mark.parametrize("d, share", [(400, 0.6), (2, 0.4)])
 def test_pairwise_mad_peak_memory_within_the_all_pairs_path(d, share):
     # All pairs peak at N(N-1)/2 float64 distances and two deviation arrays
-    # (12 MiB at N=1024). The filter holds the float32 distances (2 MiB) and a
-    # float32 partition copy or a block's temporaries, plus the centred points
-    # (3.1 MiB at d=400): about 6.2 and 4.0 MiB.
+    # (12 MiB at N=1024). The filter holds the float32 distances (2 MiB) and
+    # at most two tiles of centred points and a Gram block of 2**16 float64
+    # values each (1.5 MiB), plus a quarter MiB for a group's own pairs, masks
+    # and casting buffers; the windows are found in chunks of 2**16 values.
     pts = np.cumsum(np.random.default_rng(9).standard_normal((1024, d)), axis=1)
-    peaks = []
-    for fn in (_mad_of_all_pairs, behavioural_mad):
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            fn(pts)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [traced_peak(lambda: fn(pts))[1] for fn in (_mad_of_all_pairs, behavioural_mad)]
     assert peaks[1] <= peaks[0] + 2**19, peaks
     assert peaks[1] <= share * peaks[0], peaks
+    assert peaks[1] <= 4 * (1024 * 1023 // 2) + 2**20 + 2**19 + 2**18, peaks
 
 
 @pytest.mark.parametrize("pts", [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reference_rollout import count_generators, count_seed_sequences, reference_rollout
+from tracing import traced_peak
 from repro_rl.core import ConstantPolicy, NumericFailure, PolicyParams, param_count
 from repro_rl.envs import flat_mean_spread, point_mass_nav, tradeoff_spread
 from repro_rl.noise import NoiseConfig
@@ -348,3 +349,18 @@ def test_rollouts_bits_do_not_depend_on_the_block_budget(monkeypatch, make_env, 
     got = _rollouts(pol, env, noise, [3, 4, 5], 40, thetas, True)
     for key in want:
         assert np.array_equal(got[key], want[key]), key
+
+
+@pytest.mark.parametrize("marginals", [False, True])
+def test_evaluate_holds_one_block_at_a_time(marginals):
+    # Four 256-row point-mass blocks under obs noise peak at one block plus the
+    # outputs of the 768 more rollouts and 64 KiB of slack: the state words a
+    # tag keeps for the whole call, 32 bytes per rollout and tag (48 KiB for
+    # two tags), and rounding.
+    env, noise = point_mass_nav(), NoiseConfig(kind="obs")
+    pol, rows = random_policy(3), block_rows(point_mass_nav())
+    run = lambda n: evaluate(pol, env, noise, EvalConfig(n, 7, marginals))
+    run(8)  # warm caches outside the traced calls
+    one, four = (traced_peak(lambda: run(n))[1] for n in (rows, 4 * rows))
+    per_row = 8 * (1 + 2 + (env.episode_length * env.state_dim if marginals else 0))
+    assert four <= one + 3 * rows * per_row + 2**16, (one, four)
