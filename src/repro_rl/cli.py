@@ -16,7 +16,6 @@ import csv
 import dataclasses
 import functools
 import glob as globmod
-import hashlib
 import io
 import itertools
 import json
@@ -24,10 +23,7 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from operator import attrgetter
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from .core import (
     ConstantPolicy,
@@ -36,29 +32,26 @@ from .core import (
     NumericFailure,
     Policy,
     PolicyParams,
-    RngStream,
     as_float,
     as_int,
     as_str,
     cast_field,
-    derive_stream,
 )
 from .envs import BUILTIN_ENVS, EnvConfig, point_mass_nav
 from .metrics import (
     DISP_ESTIMATORS,
+    PARETO_COLUMNS,
     PERF_ESTIMATORS,
+    REPORT_COLUMNS,
+    REPORT_METRICS,
     LcbConfig,
-    ParetoPoint,
-    lcb_values,
-    pairwise_distances,
-    pareto_front,
-    require_points,
-    state_marginals,
+    RecordError,
+    pareto_rows,
+    report_rows,
 )
 from .noise import NoiseConfig
 from .optim import EsConfig, EsState, init_center, train
 from .rollout import EvalConfig, evaluate
-from .stats import DISPERSION, PERFORMANCE, require_values, stratified_bootstrap
 
 RUN_SCHEMA = "repro-rl-run"
 EVAL_SCHEMA = "repro-rl-eval"
@@ -66,31 +59,6 @@ EVAL_SCHEMA = "repro-rl-eval"
 ALGOS = ("es", "res", "random", "scripted")
 # The algo name decides the ES fitness mode; "res" is the repro variant.
 FITNESS_MODE_OF_ALGO = {"es": "plain", "res": "repro"}
-
-_RETURNS, _ESTIMATORS = attrgetter("returns"), {**PERFORMANCE, **DISPERSION}
-
-
-def _alpha_label(alpha: float) -> str:
-    """`lcb[alpha=...]` with alpha by `:g`, or by repr where `:g` rounds it."""
-    return f"lcb[alpha={alpha:g}]" if float(f"{alpha:g}") == alpha else f"lcb[alpha={alpha!r}]"
-
-
-# report metric -> (array it reads from a record, check that n values suffice,
-# scorer of a (rows, n) block or (rows, n, d) stack -> [(label, value per row)])
-REPORT_METRICS = {
-    **{k: (_RETURNS, lambda al, c, n, k=k: require_values(k, n),
-           lambda al, c, b, k=k: [(k, _ESTIMATORS[k](b))]) for k in _ESTIMATORS},
-    "lcb": (_RETURNS,
-            lambda al, c, n: [require_values(k, n) for k in (c.perf, c.disp)[: 1 + any(al)]],
-            lambda al, c, b: list(zip(map(_alpha_label, al), lcb_values(
-                PERFORMANCE[c.perf](b), DISPERSION[c.disp](b) if any(al) else 0.0, al)))),
-    **{k: (read, lambda al, c, n: require_points(n),
-           lambda al, c, b, k=k, d=d: [(k, DISPERSION[d](pairwise_distances(b)))])
-       for k, read, d in [("bmad", attrgetter("descriptors"), "mad"),
-                          ("biqr", attrgetter("descriptors"), "iqr"),
-                          ("smad", state_marginals, "mad")]},
-}
-_GROUP_VALUES = 2**16  # values, pairwise distances included, `_score_artifacts` buffers
 
 
 class ConfigError(Exception):
@@ -185,6 +153,8 @@ def _read_json(path: str, what: str):
         raise DataError(f"{what} {path} is not valid JSON: {e}") from e
     except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"{what} {path} cannot be read: {e}") from e
+    except MemoryError as e:
+        raise DataError(f"{what} {path} does not fit in memory") from e
 
 
 def _run_config(args) -> ExperimentConfig:
@@ -372,65 +342,6 @@ def _load_eval_artifact(path: str) -> Tuple[EvalRecord, str]:
     return record, algo
 
 
-def _noise_label(noise: NoiseConfig) -> str:
-    """`kind:sigma` (sigma by `:g`) or `none`, and a [suffix] naming a sigma `:g`
-    rounds and a resample or obs_affects_reward other than the default."""
-    label = "none" if noise.kind == "none" else f"{noise.kind}:{noise.sigma:g}"
-    extra = [f"sigma={noise.sigma!r}"] * (float(f"{noise.sigma:g}") != noise.sigma) + [
-        f"{k}={str(getattr(noise, k)).lower()}" for k in ("resample", "obs_affects_reward")
-        if getattr(noise, k) != getattr(NoiseConfig, k)]
-    return f"{label}[{';'.join(extra)}]" if extra else label
-
-
-def _cell_stream(key: tuple) -> RngStream:
-    """A report cell's bootstrap stream, indexed by a 64-bit hash of its key
-    alone, so no other cell, input or `--alphas` value can move it."""
-    digest = hashlib.blake2b(json.dumps(list(key)).encode(), digest_size=8).digest()
-    return derive_stream(0, "report-ci", int.from_bytes(digest, "little"))
-
-
-def _stacked(arrays: list, score) -> list:
-    """[(label, value)] of each array, in input order, from one `score` call
-    per array shape: `score` gives [(label, one value per array)] of a stack."""
-    out = [None] * len(arrays)
-    for shape in dict.fromkeys(a.shape for a in arrays):
-        rows = [i for i, a in enumerate(arrays) if a.shape == shape]
-        scored = score(np.stack([arrays[i] for i in rows]))
-        for r, i in enumerate(rows):
-            out[i] = [(label, float(values[r])) for label, values in scored]
-    return out
-
-
-def _score_artifacts(files: List[str], read, check, score) -> list:
-    """((env, algo, noise label), policy_id, master_seed, [(label, value)]) of
-    each eval artifact, in input order. Each is loaded and checked in turn,
-    keeping only the array `read` takes; the arrays are scored by `_stacked`
-    once they, with 2-D arrays' pairwise distances, reach _GROUP_VALUES values."""
-    metas, pending, scored, size = [], [], [], 0
-    for i, path in enumerate(files):
-        record, algo = _load_eval_artifact(path)
-        try:
-            values = read(record)
-            check(len(values))
-        except ValueError as e:  # too few values for the estimator, or no marginals
-            raise DataError(f"artifact {path}: {e}") from e
-        metas.append(((record.env_id, algo, _noise_label(record.noise)), record.policy_id,
-                      record.master_seed))
-        pending.append(values)
-        n = len(values)
-        size += values.size + n * (n - 1) // 2 * (values.ndim == 2)
-        if size >= _GROUP_VALUES or i == len(files) - 1:
-            try:
-                scored += _stacked(pending, score)
-            except MemoryError as e:  # the pairwise metrics hold N(N-1)/2 distances
-                raise DataError(
-                    f"artifact {path}: {n * (n - 1) // 2} pairwise distances of {n} "
-                    "episodes do not fit in memory"
-                ) from e
-            pending, size = [], 0
-    return [(*meta, values) for meta, values in zip(metas, scored)]
-
-
 def _write_rows(rows: List[tuple], header: List[str], fmt: str, out: Optional[str]) -> None:
     rows = [dict(zip(header, row)) for row in rows]
     if fmt == "json":
@@ -444,53 +355,43 @@ def _write_rows(rows: List[tuple], header: List[str], fmt: str, out: Optional[st
     _write_text(text, out)
 
 
+def _artifact_rows(inputs: List[str], rows_of) -> list:
+    """`rows_of` the (record, algo) of each eval artifact of `inputs`, the files
+    found and loaded only as it reads them; a record it refuses is a DataError
+    naming the record's file."""
+    paths = []
+
+    def records():
+        for path in _collect_inputs(inputs):
+            paths.append(path)
+            yield _load_eval_artifact(path)
+
+    try:
+        return rows_of(records())
+    except RecordError as e:
+        index, reason = e.args
+        raise DataError(f"artifact {paths[index]}: {reason}") from e
+
+
 def cmd_report(args) -> int:
-    if args.metric not in REPORT_METRICS:
-        raise ConfigError(
-            f"unknown metric {args.metric!r}, valid: {', '.join(REPORT_METRICS)}"
-        )
     alphas = _parse_list(args.alphas, "--alphas", float)
-    if not all(0 <= a < np.inf for a in alphas):
+    if not all(0 <= a < float("inf") for a in alphas):
         raise ConfigError("--alphas must be finite and non-negative")
-    lcb_cfg = LcbConfig(perf=args.perf_estimator, disp=args.disp_estimator)
-    read, check, score = REPORT_METRICS[args.metric]
-    files = _collect_inputs(args.inputs)
-    scored = _score_artifacts(files, read, lambda n: check(alphas, lcb_cfg, n),
-                              lambda b: score(alphas, lcb_cfg, b))
-
-    # cells: (env, algo, noise_label, metric_label) -> policy_id -> [(eval seed, value)]
-    cells: dict = {}
-    for cell, policy_id, seed, values in scored:
-        for label, value in values:
-            cells.setdefault((*cell, label), {}).setdefault(policy_id, []).append((seed, value))
-
-    rows = []
-    for key in sorted(cells):
-        # One entry per training run: the mean over its eval seeds (one block per
-        # count), keyed by the smallest, so re-seeded evaluations are not runs.
-        runs = [sorted(evals) for evals in cells[key].values()]
-        means = _stacked([np.array([v for _, v in e]) for e in runs],
-                         lambda b: [("mean", PERFORMANCE["mean"](b))])
-        values = np.array([m for _, m in sorted((e[0][0], m) for e, [(_, m)] in zip(runs, means))])
-        try:
-            ci = stratified_bootstrap([values], aggregate="iqm", n_resamples=args.n_resamples,
-                                      stream=_cell_stream(key))
-        except MemoryError as e:
-            raise ConfigError(f"--n-resamples {args.n_resamples} does not fit in memory") from e
-        rows.append((*key, len(values), repr(ci.point), repr(ci.lo), repr(ci.hi)))
-    header = ["env", "algo", "noise", "metric", "n_seeds", "point", "ci_lo", "ci_hi"]
-    _write_rows(rows, header, args.format, args.out)
+    cfg = LcbConfig(perf=args.perf_estimator, disp=args.disp_estimator)
+    try:
+        rows = _artifact_rows(args.inputs, lambda records: report_rows(
+            records, args.metric, alphas, cfg, args.n_resamples))
+    except MemoryError as e:
+        raise ConfigError(f"--n-resamples {args.n_resamples} does not fit in memory") from e
+    rows = [(*row[:5], *map(repr, row[5:])) for row in rows]
+    _write_rows(rows, REPORT_COLUMNS, args.format, args.out)
     return 0
 
 
 def cmd_pareto(args) -> int:
-    scored = _score_artifacts(_collect_inputs(args.inputs), _RETURNS, lambda n: None, lambda b: [
-        ("perf", PERFORMANCE["mean"](b)), ("repro", -DISPERSION["mad"](b))])
-    points = [ParetoPoint(pid, perf, repro) for _, pid, _, [(_, perf), (_, repro)] in scored]
-    rows = [(p.policy_id, repr(p.perf), repr(p.repro), str(flag).lower())
-            for p, flag in zip(points, pareto_front(points))]
-    header = ["policy_id", "expected_return", "neg_mad", "on_front"]
-    _write_rows(rows, header, args.format, args.out)
+    rows = [(policy_id, repr(perf), repr(repro), str(flag).lower())
+            for policy_id, perf, repro, flag in _artifact_rows(args.inputs, pareto_rows)]
+    _write_rows(rows, PARETO_COLUMNS, args.format, args.out)
     return 0
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import binascii
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from itertools import chain
 from typing import Optional, Sequence, Union
@@ -148,7 +148,9 @@ _JSON_CASTS = {
 
 @lru_cache(maxsize=None)
 def _field_casts(cls) -> tuple:
-    return tuple((f.name, _JSON_CASTS.get(f.type, lambda v: v)) for f in fields(cls))
+    """(name, cast, needed) of each field of `cls`: needed when it has no default."""
+    return tuple((f.name, _JSON_CASTS.get(f.type, lambda v: v),
+                  f.default is MISSING and f.default_factory is MISSING) for f in fields(cls))
 
 
 def _json_value(v):
@@ -168,7 +170,8 @@ class JsonFields:
     Tuples and arrays become lists. On load a missing key takes the field
     default, unknown keys are ignored and values are cast by annotation
     (`bool`, `int`, `float`, `str`, `tuple`, `Optional[tuple]`, `np.ndarray`);
-    a value the cast refuses is a TypeError or ValueError naming the field.
+    a value the cast refuses is a TypeError or ValueError naming the field, and
+    missing fields without a default are one ValueError naming them all.
     """
 
     def to_json_dict(self, **given) -> dict:
@@ -182,9 +185,12 @@ class JsonFields:
         in place of the keys of the same names."""
         if not isinstance(d, dict):
             raise TypeError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
-        for name, cast in _field_casts(cls):
+        for name, cast, _ in _field_casts(cls):
             if name in d and name not in given:
                 given[name] = cast_field(name, cast, d[name])
+        missing = [name for name, _, needed in _field_casts(cls) if needed and name not in given]
+        if missing:
+            raise ValueError(f"{cls.__name__} needs {', '.join(map(repr, missing))}")
         return cls(**given)
 
 
@@ -202,7 +208,7 @@ class PolicyParams(JsonFields):
     activation: str = "tanh"
 
     def __post_init__(self):
-        arch = tuple(int(w) for w in self.arch)
+        arch = tuple(cast_field("arch", as_int, w) for w in self.arch)
         object.__setattr__(self, "arch", arch)
         theta = np.asarray(self.theta, dtype=np.float64)
         if theta.ndim != 1:
@@ -539,7 +545,6 @@ class EvalRecord(JsonFields):
     returns: np.ndarray
     descriptors: np.ndarray
     state_marginals: Optional[np.ndarray] = None
-    extra: dict = field(default_factory=dict)
 
     @property
     def n_evals(self) -> int:
@@ -547,15 +552,13 @@ class EvalRecord(JsonFields):
 
     def to_json_dict(self) -> dict:
         """The fields, with `env_id` under "env", `n_evals` added and
-        `state_marginals` in `_f8_json`'s form; none when None, no `extra` when empty."""
+        `state_marginals` in `_f8_json`'s form, or none when None."""
         marginals = None if self.state_marginals is None else _f8_json(self.state_marginals)
         d = super().to_json_dict(master_seed=int(self.master_seed), state_marginals=marginals)
         d["env"] = d.pop("env_id")
         d["n_evals"] = self.n_evals
         if marginals is None:
             del d["state_marginals"]
-        if not self.extra:
-            del d["extra"]
         return d
 
     @classmethod

@@ -7,19 +7,27 @@ return. alpha = 0 recovers plain expected performance.
 
 Behavioural reproducibility looks at the spread of pairwise distances
 between rollout descriptors instead of returns.
+
+`report_rows` scores records over training runs; `pareto_rows` places them
+on the performance / reproducibility front.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from operator import attrgetter
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from .core import EvalRecord
+from .core import EvalRecord, RngStream, derive_stream
+from .noise import NoiseConfig
 from .stats import (
-    DISPERSION, PERFORMANCE, _lookup, dispersion, iqr, mad, middle_values, performance,
+    DISPERSION, PERFORMANCE, _clean_1d, _lookup, dispersion, iqr, mad, middle_values,
+    performance, require_resamples, require_values, stratified_bootstrap,
 )
 
 PERF_ESTIMATORS = tuple(PERFORMANCE)
@@ -53,12 +61,26 @@ def lcb(record: EvalRecord, alpha: float, cfg: LcbConfig = LcbConfig()) -> float
 def lcb_sweep(
     record: EvalRecord, alphas: Sequence[float], cfg: LcbConfig = LcbConfig()
 ) -> np.ndarray:
-    """LCB at each alpha, aligned with the input grid. Performance and
-    dispersion are computed once; dispersion only when some alpha > 0."""
-    alphas = list(alphas)
-    perf = performance(record.returns, cfg.perf)
-    disp = dispersion(record.returns, cfg.disp) if any(alphas) else 0.0
-    return lcb_values(perf, disp, alphas)
+    """LCB at each alpha, aligned with the input grid, of the record's returns,
+    a non-empty 1-D array of finite values (`_lcb`)."""
+    return _lcb(_clean_1d("x", record.returns), list(alphas), cfg)
+
+
+def _lcb_estimators(alphas: list, cfg: LcbConfig, n: int) -> tuple:
+    """The estimators an LCB at `alphas` computes: perf, and disp when some
+    alpha > 0; a ValueError when n values are fewer than one of them needs."""
+    kinds = (cfg.perf, cfg.disp)[: 1 + any(alphas)]
+    for kind in kinds:
+        require_values(kind, n)
+    return kinds
+
+
+def _lcb(samples: np.ndarray, alphas: list, cfg: LcbConfig) -> np.ndarray:
+    """LCB per alpha of each finite sample on the last axis of (n,) or (rows, n)
+    `samples`, from each of its `_lcb_estimators` once."""
+    kinds = _lcb_estimators(alphas, cfg, samples.shape[-1])
+    disp = DISPERSION[kinds[1]](samples) if len(kinds) > 1 else 0.0
+    return lcb_values(PERFORMANCE[kinds[0]](samples), disp, alphas)
 
 
 def lcb_values(perf, disp, alphas: Sequence[float]) -> np.ndarray:
@@ -413,3 +435,143 @@ def pareto_front(points: Sequence[ParetoPoint]) -> List[bool]:
     flagged as on the front.
     """
     return [not any(dominates(q, p) for q in points) for p in points]
+
+
+class RecordError(ValueError):
+    """A record `report_rows` or `pareto_rows` refuses: (its index in the input, why)."""
+
+
+_returns = attrgetter("returns")
+# pairwise report metric -> (array it reads from a record, dispersion of its distances)
+_PAIRWISE = {"bmad": (attrgetter("descriptors"), "mad"),
+             "biqr": (attrgetter("descriptors"), "iqr"),
+             "smad": (state_marginals, "mad")}
+REPORT_METRICS = (*PERFORMANCE, *DISPERSION, "lcb", *_PAIRWISE)
+REPORT_COLUMNS = ("env", "algo", "noise", "metric", "n_seeds", "point", "ci_lo", "ci_hi")
+PARETO_COLUMNS = ("policy_id", "expected_return", "neg_mad", "on_front")
+_GROUP_VALUES = 2**16  # values, pairwise distances included, `_scores` buffers
+
+
+def _alpha_label(alpha: float) -> str:
+    """`lcb[alpha=...]` with alpha by `:g`, or by repr where `:g` rounds it."""
+    return f"lcb[alpha={alpha:g}]" if float(f"{alpha:g}") == alpha else f"lcb[alpha={alpha!r}]"
+
+
+def _noise_label(noise: NoiseConfig) -> str:
+    """`kind:sigma` (sigma by `:g`) or `none`, and a [suffix] naming a sigma `:g`
+    rounds and a resample or obs_affects_reward other than the default."""
+    label = "none" if noise.kind == "none" else f"{noise.kind}:{noise.sigma:g}"
+    extra = [f"sigma={noise.sigma!r}"] * (float(f"{noise.sigma:g}") != noise.sigma) + [
+        f"{k}={str(getattr(noise, k)).lower()}" for k in ("resample", "obs_affects_reward")
+        if getattr(noise, k) != getattr(NoiseConfig, k)]
+    return f"{label}[{';'.join(extra)}]" if extra else label
+
+
+def _cell_stream(key: tuple) -> RngStream:
+    """A report cell's bootstrap stream, indexed by a 64-bit hash of its key
+    alone, so no other cell, input or alpha can move it."""
+    digest = hashlib.blake2b(json.dumps(list(key)).encode(), digest_size=8).digest()
+    return derive_stream(0, "report-ci", int.from_bytes(digest, "little"))
+
+
+def _stacked(arrays: list, score) -> list:
+    """[(label, value)] of each array, in input order, from one `score` call
+    per array shape: `score` gives [(label, one value per array)] of a stack."""
+    out = [None] * len(arrays)
+    for shape in dict.fromkeys(a.shape for a in arrays):
+        rows = [i for i, a in enumerate(arrays) if a.shape == shape]
+        scored = score(np.stack([arrays[i] for i in rows]))
+        for r, i in enumerate(rows):
+            out[i] = [(label, float(values[r])) for label, values in scored]
+    return out
+
+
+def _scores(records: Iterable, read, check, score) -> list:
+    """((env, algo, noise label), policy_id, master_seed, [(label, value)]) of each
+    (record, algo) pair, in input order. Of each record only the array `read`
+    takes is kept, once `check(n)` accepts its n values; the arrays are scored by
+    `_stacked` once they, with 2-D arrays' pairwise distances, reach
+    _GROUP_VALUES values, and at the end."""
+    metas, pending, scored, size = [], [], [], 0
+
+    def flush(i, n):
+        try:
+            scored.extend(_stacked(pending, score))
+        except MemoryError as e:  # the pairwise metrics hold N(N-1)/2 distances
+            raise RecordError(i, f"{n * (n - 1) // 2} pairwise distances of {n} episodes "
+                                 "do not fit in memory") from e
+        pending.clear()
+
+    for i, (record, algo) in enumerate(records):
+        try:
+            values = read(record)
+            check(len(values))
+        except ValueError as e:  # too few values for the estimator, or no marginals
+            raise RecordError(i, str(e)) from e
+        metas.append(((record.env_id, algo, _noise_label(record.noise)), record.policy_id,
+                      record.master_seed))
+        pending.append(values)
+        n = len(values)
+        size += values.size + n * (n - 1) // 2 * (values.ndim == 2)
+        if size >= _GROUP_VALUES:
+            flush(i, n)
+            size = 0
+    if pending:
+        flush(i, n)
+    return [(*meta, values) for meta, values in zip(metas, scored)]
+
+
+def _report_metric(metric: str, alphas: list, cfg: LcbConfig) -> tuple:
+    """(read, check, score) of a report metric: the array it reads from a record,
+    a check that n values suffice, and its scores of a (rows, n) block or
+    (rows, n, d) stack, [(label, value per row)]."""
+    if metric == "lcb":
+        labels = [_alpha_label(a) for a in alphas]
+        return (_returns, lambda n: _lcb_estimators(alphas, cfg, n),
+                lambda b: list(zip(labels, _lcb(b, alphas, cfg))))
+    if metric in _PAIRWISE:
+        read, disp = _PAIRWISE[metric]
+        return read, require_points, lambda b: [(metric, DISPERSION[disp](pairwise_distances(b)))]
+    estimator = {**PERFORMANCE, **DISPERSION}[metric]
+    return _returns, lambda n: require_values(metric, n), lambda b: [(metric, estimator(b))]
+
+
+def report_rows(records: Iterable, metric: str, alphas: Sequence[float] = (0.0,),
+                cfg: LcbConfig = LcbConfig(), n_resamples: int = 2000) -> List[tuple]:
+    """`REPORT_COLUMNS` rows of (record, algo) pairs, one per cell in cell order:
+    the IQM over training runs, with its stratified-bootstrap CI, of each run's
+    mean over its records (re-seeded evaluations of one policy_id). The metric,
+    alphas and n_resamples are refused before the first record is read."""
+    if metric not in REPORT_METRICS:
+        raise ValueError(f"unknown metric {metric!r}, valid: {', '.join(REPORT_METRICS)}")
+    alphas = [float(a) for a in alphas]
+    lcb_values(0.0, 0.0, alphas)  # refuses a negative or non-finite alpha
+    require_resamples(n_resamples)
+    read, check, score = _report_metric(metric, alphas, cfg)
+
+    # cells: (env, algo, noise_label, metric_label) -> policy_id -> [(eval seed, value)]
+    cells: dict = {}
+    for cell, policy_id, seed, values in _scores(records, read, check, score):
+        for label, value in values:
+            cells.setdefault((*cell, label), {}).setdefault(policy_id, []).append((seed, value))
+    rows = []
+    for key in sorted(cells):
+        # One entry per training run: the mean over its eval seeds (one block per
+        # count), keyed by the smallest, so re-seeded evaluations are not runs.
+        runs = [sorted(evals) for evals in cells[key].values()]
+        means = _stacked([np.array([v for _, v in e]) for e in runs],
+                         lambda b: [("mean", PERFORMANCE["mean"](b))])
+        values = np.array([m for _, m in sorted((e[0][0], m) for e, [(_, m)] in zip(runs, means))])
+        ci = stratified_bootstrap([values], aggregate="iqm", n_resamples=n_resamples,
+                                  stream=_cell_stream(key))
+        rows.append((*key, len(values), ci.point, ci.lo, ci.hi))
+    return rows
+
+
+def pareto_rows(records: Iterable) -> List[tuple]:
+    """`PARETO_COLUMNS` rows of (record, algo) pairs, in input order: mean return,
+    negated MAD of returns and whether the record is on the `pareto_front`."""
+    scored = _scores(records, _returns, lambda n: None, lambda b: [
+        ("perf", PERFORMANCE["mean"](b)), ("repro", -DISPERSION["mad"](b))])
+    points = [ParetoPoint(pid, perf, repro) for _, pid, _, [(_, perf), (_, repro)] in scored]
+    return [(p.policy_id, p.perf, p.repro, flag) for p, flag in zip(points, pareto_front(points))]

@@ -23,8 +23,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import JsonFields, NumericFailure, PolicyParams, RngStream, dense_layers
-from .core import derive_stream, param_count, pcg64_raw, state_generator, stream_states
+from .core import JsonFields, NumericFailure, PolicyParams, RngStream, as_int, cast_field
+from .core import dense_layers, derive_stream, param_count, pcg64_raw, state_generator
+from .core import stream_states
 from .envs import EnvConfig
 from .noise import NoiseConfig
 from .rollout import _rollouts, block_rows
@@ -54,7 +55,8 @@ class EsConfig(JsonFields):
 
     def __post_init__(self):
         if self.arch is not None:
-            object.__setattr__(self, "arch", tuple(int(w) for w in self.arch))
+            arch = tuple(cast_field("arch", as_int, w) for w in self.arch)
+            object.__setattr__(self, "arch", arch)
         if self.popsize < 2 or self.popsize % 2 != 0:
             raise ValueError(f"popsize must be even and >= 2, got {self.popsize}")
         if not 0.0 < self.sigma_es < np.inf:

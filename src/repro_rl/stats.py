@@ -99,6 +99,12 @@ def require_values(kind: str, n: int) -> None:
         raise ValueError(f"{kind} needs at least {need} values, got {n}")
 
 
+def require_resamples(n_resamples: int) -> None:
+    """Raise ValueError when a bootstrap of n_resamples has no resample."""
+    if n_resamples < 1:
+        raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
+
+
 def _estimate(table: Dict[str, Estimator], what: str, kind: str, x) -> float:
     fn = _lookup(table, what, kind)
     arr = _clean_1d("x", x)
@@ -171,8 +177,7 @@ def stratified_bootstrap(
     agg = _lookup(PERFORMANCE, "aggregate", aggregate)
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    if n_resamples < 1:
-        raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
+    require_resamples(n_resamples)
     strata: List[np.ndarray] = [
         _clean_1d(f"stratum {i}", s) for i, s in enumerate(values_by_stratum)
     ]

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import repro_rl
-from repro_rl import cli
+from repro_rl import cli, metrics
 from repro_rl.cli import ConfigError, ExperimentConfig, default_config, main
 from repro_rl.core import EvalRecord, derive_stream
 from repro_rl.envs import point_mass_nav, tradeoff_spread
@@ -23,6 +24,7 @@ from repro_rl.metrics import (
     PERF_ESTIMATORS,
     LcbConfig,
     ParetoPoint,
+    RecordError,
     behavioural_iqr,
     behavioural_mad,
     dispersion,
@@ -836,6 +838,12 @@ BAD_CONFIGS = {
     "mean-base-nan": (_env_config(tradeoff_spread(), mean_base=float("nan")), 2, "mean_base"),
     "es-l2-nan": (b'{"env": {"name": "flat-mean-spread"}, '
                   b'"es": {"l2": NaN, "popsize": 4, "generations": 2}}', 2, "l2"),
+    "es-arch-fraction": (b'{"es": {"arch": [4.9, 16, 16, 2], "popsize": 4, "generations": 1}}',
+                         2, "arch"),
+    "es-arch-strings": (b'{"es": {"arch": ["4", 16, true, 2], "popsize": 4, "generations": 1}}',
+                        2, "arch"),
+    "env-missing-fields": (b'{"env": {"family": "bandit", "episode_length": 1}}', 2,
+                           "EnvConfig needs 'env_id', 'state_dim', 'action_dim'"),
 }
 
 
@@ -901,6 +909,8 @@ BAD_POLICIES = {
     "theta-misfits-arch": {"arch": [1, 2, 1], "theta": [0, 0, 0]},
     "theta-not-numeric": {"arch": [1, 2, 1], "theta": ["x"] * 7},
     "arch-zero-width": {"arch": [1, 0], "theta": []},
+    "arch-fraction": {"arch": [1.5, 2, 1], "theta": [0.0] * 7},
+    "arch-strings": {"arch": ["1", 2, True], "theta": [0.0] * 7},
 }
 
 
@@ -911,7 +921,11 @@ def test_bad_policy_file_exits_1(tmp_path, capsys, name):
     pol.write_text(json.dumps(BAD_POLICIES[name]))
     rc = main(["evaluate", "--config", cfg, "--policy", str(pol),
                "--out", str(tmp_path / "eval.json")])
-    _expect_one_line_error(capsys, rc, 1)
+    err = _expect_one_line_error(capsys, rc, 1)
+    if name.startswith("arch"):
+        assert "arch" in err, err
+    if name == "no-arch":
+        assert err == f"error: policy file {pol} is malformed: PolicyParams needs 'arch'\n"
 
 
 def test_unreadable_artifacts_in_input_dir_exit_1(tmp_path, capsys):
@@ -1041,7 +1055,8 @@ def test_report_rows_at_default_noise_keep_their_bytes(tmp_path, capsys):
                     {"kind": kind, "sigma": 0.2, "resample": mode}))
     assert main(["report", *paths, "--metric", "iqm", "--n-resamples", "200"]) == 0
     got = parse_csv(capsys.readouterr().out)
-    want = {r["noise"]: r for r in parse_csv(_reference_report(paths, "iqm", n_resamples=200))}
+    want = {r["noise"]: r for r in parse_csv(_reference_report(_read_pairs(paths), "iqm",
+                                                                 n_resamples=200))}
     assert [r["noise"] for r in got] == [
         "action:0.2", "dynamics:0.2", "dynamics:0.2[resample=per-step]",
         "obs:0.2[resample=per-step]", "reward:0.2",
@@ -1253,24 +1268,26 @@ def _key_index(key):
                           .digest(), "little")
 
 
-def _reference_report(files, metric, alphas=(0.0,), cfg=LcbConfig(), n_resamples=2000, fmt="csv"):
+def _read_pairs(files):
+    return [(EvalRecord.from_json_dict(raw), raw["algo"]) for raw in map(read_json, files)]
+
+
+def _reference_report(pairs, metric, alphas=(0.0,), cfg=LcbConfig(), n_resamples=2000, fmt="csv"):
     cells = {}
-    for path in files:
-        raw = read_json(path)
-        record = EvalRecord.from_json_dict(raw)
+    for record, algo in pairs:
         kind, sigma = record.noise.kind, record.noise.sigma
         noise = "none" if kind == "none" else f"{kind}:{sigma:g}"
         for label, value in _reference_scores(record, metric, list(alphas), cfg):
-            runs = cells.setdefault((record.env_id, raw["algo"], noise, label), {})
+            runs = cells.setdefault((record.env_id, algo, noise, label), {})
             runs.setdefault(record.policy_id, []).append((record.master_seed, value))
     header = ["env", "algo", "noise", "metric", "n_seeds", "point", "ci_lo", "ci_hi"]
     rows = []
     for key in sorted(cells):
-        pairs = sorted(
+        runs = sorted(
             (min(evals)[0], float(PERFORMANCE["mean"](np.array([v for _, v in sorted(evals)]))))
             for evals in cells[key].values()
         )
-        values = np.array([v for _, v in pairs])
+        values = np.array([v for _, v in runs])
         ci = stratified_bootstrap([values], "iqm", n_resamples,
                                   stream=derive_stream(0, "report-ci", _key_index(key)))
         rows.append(dict(zip(header, [*key, len(values), repr(ci.point), repr(ci.lo),
@@ -1278,12 +1295,9 @@ def _reference_report(files, metric, alphas=(0.0,), cfg=LcbConfig(), n_resamples
     return _table_text(rows, header, fmt)
 
 
-def _reference_pareto(files):
-    points = []
-    for path in files:
-        record = EvalRecord.from_json_dict(read_json(path))
-        points.append(ParetoPoint(record.policy_id, performance(record.returns, "mean"),
-                                  -dispersion(record.returns, "mad")))
+def _reference_pareto(pairs):
+    points = [ParetoPoint(record.policy_id, performance(record.returns, "mean"),
+                          -dispersion(record.returns, "mad")) for record, _ in pairs]
     header = ["policy_id", "expected_return", "neg_mad", "on_front"]
     rows = [dict(zip(header, [p.policy_id, repr(p.perf), repr(p.repro), "true" if f else "false"]))
             for p, f in zip(points, pareto_front(points))]
@@ -1300,53 +1314,62 @@ def _table_text(rows, header, fmt):
     return buf.getvalue()
 
 
-def _mixed_artifacts(tmp_path):
-    """{path: (n, has marginals)} over two algos and two noise kinds: n in {1,
-    2, 3, 4, 5, 16, 64}, policies with 1-3 eval seeds (in input order from
-    the largest), marginals on some artifacts only."""
+def _mixed_records():
+    """(record, algo) pairs over two algos and two noise kinds: n in {1, 2, 3,
+    4, 5, 16, 64}, policies with 1-3 eval seeds (in input order from the
+    largest), marginals on some records only."""
     gen = np.random.default_rng(21)
     sizes = [1, 2, 3, 4, 5, 16, 64]
-    out, k = {}, 0
+    out, k = [], 0
     for algo in ("a", "b"):
         for kind in ("none", "obs"):
+            noise = NoiseConfig(kind=kind, sigma=0.0 if kind == "none" else 0.05)
             for p in range(6):
                 for seed in range(1 + p % 3):
                     n = sizes[k % len(sizes)]
                     k += 1
-                    path = _make_eval_artifact(
-                        tmp_path / f"{algo}_{kind}_p{p}_s{seed}.json", f"p{p}",
-                        list(np.round(gen.normal(10.0, 3.0, n), 1 + k % 3)), seed=9 - seed,
-                        algo=algo)
-                    fields = {"noise": {"kind": kind, "sigma": 0.0 if kind == "none" else 0.05,
-                                        "resample": "per-episode", "obs_affects_reward": True},
-                              "descriptors": gen.standard_normal((n, 1 + k % 3)).tolist()}
-                    if k % 2:
-                        fields["state_marginals"] = gen.standard_normal((n, 7)).tolist()
-                    _patch_artifact(path, **fields)
-                    out[path] = (n, k % 2 == 1)
+                    returns = np.round(gen.normal(10.0, 3.0, n), 1 + k % 3)
+                    descriptors = gen.standard_normal((n, 1 + k % 3))
+                    marginals = gen.standard_normal((n, 7)) if k % 2 else None
+                    out.append((EvalRecord(f"p{p}", "flat-mean-spread", noise, 9 - seed, returns,
+                                           descriptors, marginals), algo))
     return out
+
+
+def _mixed_artifacts(tmp_path):
+    """{path: (n, has marginals)} of `_mixed_records`, written as eval artifacts."""
+    out = {}
+    for record, algo in _mixed_records():
+        path = tmp_path / (f"{algo}_{record.noise.kind}_{record.policy_id}_"
+                           f"s{9 - record.master_seed}.json")
+        path.write_text(json.dumps({**record.to_json_dict(), "schema": cli.EVAL_SCHEMA,
+                                    "algo": algo}))
+        out[str(path)] = (record.n_evals, record.state_marginals is not None)
+    return out
+
+
+# (metric, least n, needs marginals, options) of every report run over the
+# mixed records: each metric on the records it takes, lcb under every pair of
+# estimators, and json output once
+_MIXED_RUNS = [(m, {"iqm": 4, "std": 2}.get(m, 1), False, {})
+               for m in (*PERF_ESTIMATORS, *DISP_ESTIMATORS)]
+_MIXED_RUNS += [(m, 2, m == "smad", {}) for m in ("bmad", "biqr", "smad")]
+_MIXED_RUNS += [("lcb", max({"iqm": 4}.get(p, 1), {"std": 2}.get(d, 1)), False,
+                 {"alphas": "0,0.5,2", "perf": p, "disp": d})
+                for p in PERF_ESTIMATORS for d in DISP_ESTIMATORS]
+# alpha 0 alone never computes the dispersion, so std takes 1-return records
+_MIXED_RUNS.append(("lcb", 1, False, {"alphas": "0", "perf": "mean", "disp": "std"}))
+_MIXED_RUNS.append(("iqm", 4, False, {"fmt": "json"}))
 
 
 @pytest.mark.parametrize("group_values", [None, 50])
 def test_report_and_pareto_equal_per_artifact_path(tmp_path, capsys, monkeypatch, group_values):
     # with a small group cap every command scores in several flushes
     if group_values is not None:
-        monkeypatch.setattr(cli, "_GROUP_VALUES", group_values)
+        monkeypatch.setattr(metrics, "_GROUP_VALUES", group_values)
     arts = _mixed_artifacts(tmp_path)
-
-    def files(need, marginals=False):
-        return [p for p, (n, m) in arts.items() if n >= need and (m or not marginals)]
-
-    runs = [(metric, files({"iqm": 4, "std": 2}.get(metric, 1)), {})
-            for metric in (*PERF_ESTIMATORS, *DISP_ESTIMATORS)]
-    runs += [(m, files(2, marginals=m == "smad"), {}) for m in ("bmad", "biqr", "smad")]
-    runs += [("lcb", files(max({"iqm": 4}.get(p, 1), {"std": 2}.get(d, 1))),
-              {"alphas": "0,0.5,2", "perf": p, "disp": d})
-             for p in PERF_ESTIMATORS for d in DISP_ESTIMATORS]
-    # alpha 0 alone never computes the dispersion, so std takes 1-return artifacts
-    runs.append(("lcb", files(1), {"alphas": "0", "perf": "mean", "disp": "std"}))
-    runs.append(("iqm", files(4), {"fmt": "json"}))
-    for metric, paths, opts in runs:
+    for metric, need, marginals, opts in _MIXED_RUNS:
+        paths = [p for p, (n, m) in arts.items() if n >= need and (m or not marginals)]
         assert any(arts[p][0] == 64 for p in paths) and len(paths) > 10
         alphas = opts.get("alphas", "0,0.5,1")
         cfg = LcbConfig(opts.get("perf", "mean"), opts.get("disp", "mad"))
@@ -1354,11 +1377,11 @@ def test_report_and_pareto_equal_per_artifact_path(tmp_path, capsys, monkeypatch
         assert main(["report", *paths, "--metric", metric, "--alphas", alphas,
                      "--perf-estimator", cfg.perf, "--disp-estimator", cfg.disp,
                      "--format", fmt, "--n-resamples", "300"]) == 0
-        want = _reference_report(paths, metric, [float(a) for a in alphas.split(",")], cfg,
-                                 300, fmt)
+        want = _reference_report(_read_pairs(paths), metric,
+                                 [float(a) for a in alphas.split(",")], cfg, 300, fmt)
         assert capsys.readouterr().out == want, (metric, opts)
     assert main(["pareto", *arts]) == 0
-    assert capsys.readouterr().out == _reference_pareto(list(arts))
+    assert capsys.readouterr().out == _reference_pareto(_read_pairs(arts))
 
 
 @pytest.mark.parametrize("perf, disp, alphas, need", [
@@ -1401,10 +1424,10 @@ def test_report_names_first_bad_artifact_in_input_order(tmp_path, capsys, metric
 def test_score_artifacts_buffers_at_most_one_group(tmp_path, capsys, monkeypatch):
     # 30 artifacts of 16 returns under a cap of 100 values: flushes of 7
     # artifacts (112 values) and a last one of 2, in input order
-    monkeypatch.setattr(cli, "_GROUP_VALUES", 100)
+    monkeypatch.setattr(metrics, "_GROUP_VALUES", 100)
     flushes = []
-    stacked = cli._stacked
-    monkeypatch.setattr(cli, "_stacked", lambda arrays, score: flushes.append(
+    stacked = metrics._stacked
+    monkeypatch.setattr(metrics, "_stacked", lambda arrays, score: flushes.append(
         [a.size for a in arrays]) or stacked(arrays, score))
     paths = [_make_eval_artifact(tmp_path / f"e{i:02d}.json", f"p{i}",
                                  [float(i + j) for j in range(16)]) for i in range(30)]
@@ -1412,3 +1435,102 @@ def test_score_artifacts_buffers_at_most_one_group(tmp_path, capsys, monkeypatch
     assert flushes == [[16] * 7] * 4 + [[16] * 2]
     rows = parse_csv(capsys.readouterr().out)
     assert [r["expected_return"] for r in rows] == [repr(i + 7.5) for i in range(30)]
+
+
+def _rows_text(rows, columns, fmt="csv"):
+    """Library rows as the CLI writes them: floats by repr, flags in lower case."""
+    text = [[str(v).lower() if isinstance(v, bool) else repr(v) if isinstance(v, float) else v
+             for v in row] for row in rows]
+    return _table_text([dict(zip(columns, row)) for row in text], list(columns), fmt)
+
+
+@pytest.mark.parametrize("group_values", [None, 50])
+def test_library_rows_equal_reference_without_files(monkeypatch, group_values):
+    # report_rows and pareto_rows over in-memory records, read lazily
+    if group_values is not None:
+        monkeypatch.setattr(metrics, "_GROUP_VALUES", group_values)
+    pairs = _mixed_records()
+    for metric, need, marginals, opts in _MIXED_RUNS:
+        chosen = [(r, a) for r, a in pairs
+                  if r.n_evals >= need and (r.state_marginals is not None or not marginals)]
+        alphas = [float(a) for a in opts.get("alphas", "0,0.5,1").split(",")]
+        cfg = LcbConfig(opts.get("perf", "mean"), opts.get("disp", "mad"))
+        fmt = opts.get("fmt", "csv")
+        rows = metrics.report_rows(iter(chosen), metric, alphas, cfg, 300)
+        assert all(type(v) is float for row in rows for v in row[5:])
+        assert _rows_text(rows, metrics.REPORT_COLUMNS, fmt) == _reference_report(
+            chosen, metric, alphas, cfg, 300, fmt), (metric, opts)
+    rows = metrics.pareto_rows(iter(pairs))
+    assert _rows_text(rows, metrics.PARETO_COLUMNS) == _reference_pareto(pairs)
+
+
+def _record(policy_id, returns, marginals=True):
+    returns = np.array(returns)
+    return (EvalRecord(policy_id, "flat-mean-spread", NoiseConfig(kind="none"), 0, returns,
+                       returns[:, None], returns[:, None] if marginals else None), "es")
+
+
+@pytest.mark.parametrize("metric, short", [
+    ("iqm", _record("small", [1.0, 2.0])),
+    ("bmad", _record("small", [1.0])),
+    ("smad", _record("small", [1.0, 2.0], marginals=False)),
+])
+def test_library_rows_refuse_the_first_bad_record_and_read_no_further(metric, short):
+    good = _record("good", [1.0, 2.0, 3.0, 4.0])
+    later_bad = _record("later", [5.0], marginals=False)
+    read = []
+
+    def records(items):
+        for item in items:
+            read.append(item[0].policy_id)
+            yield item
+
+    with pytest.raises(RecordError) as refused:
+        metrics.report_rows(records([good, short, later_bad, good]), metric)
+    index, reason = refused.value.args
+    assert index == 1 and read == ["good", "small"]
+    with pytest.raises(RecordError) as alone:
+        metrics.report_rows([short], metric)
+    assert alone.value.args == (0, reason)
+    if metric == "iqm":  # pareto takes any non-empty returns
+        assert [row[0] for row in metrics.pareto_rows([good, short])] == ["good", "small"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (("variance",), "unknown metric 'variance', valid: mean, median, iqm, mad, iqr, std, lcb, "
+                    "bmad, biqr, smad"),
+    (("lcb", [0.5, -1.0]), "alpha must be finite and >= 0, got -1.0"),
+    (("lcb", [float("nan")]), "alpha must be finite and >= 0, got nan"),
+    (("mad", (0.0,), LcbConfig(), 0), "n_resamples must be >= 1, got 0"),
+])
+def test_report_rows_refuse_arguments_before_reading_a_record(args, message):
+    def unread():
+        pytest.fail("a record was read")
+        yield
+
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        metrics.report_rows(unread(), *args)
+
+
+def test_report_refuses_n_resamples_before_reading_artifacts(tmp_path, capsys, monkeypatch):
+    # the flag is refused first: over a malformed artifact, a missing input or
+    # good artifacts alike, none of which is read
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    good = _make_eval_artifact(tmp_path / "good.json", "p0", [1.0, 2.0, 3.0])
+    monkeypatch.setattr(cli, "_load_eval_artifact", lambda path: pytest.fail(f"read {path}"))
+    for inputs in ([str(bad)], [str(tmp_path / "missing" / "*.json")], [good, good]):
+        assert main(["report", *inputs, "--metric", "mad", "--n-resamples", "0"]) == 2
+        assert capsys.readouterr().err == "error: n_resamples must be >= 1, got 0\n"
+
+
+def test_report_names_an_artifact_too_large_to_parse(tmp_path, capsys, monkeypatch):
+    # a parse that runs out of memory names the file (exit 1), not --n-resamples
+    path = _make_eval_artifact(tmp_path / "e.json", "p0", [1.0, 2.0, 3.0])
+
+    def load(fh):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.json, "load", load)
+    assert main(["report", path, "--metric", "mean"]) == 1
+    assert capsys.readouterr().err == f"error: artifact {path} does not fit in memory\n"

@@ -25,6 +25,7 @@ from repro_rl.core import (
     state_generator,
     stream_states,
 )
+from repro_rl.envs import EnvConfig
 from repro_rl.noise import NoiseConfig
 
 
@@ -130,8 +131,38 @@ def test_policy_arrays_refuse_leaves_that_are_not_numbers(theta):
                           [0.5, 1.0])
 
 
+@pytest.mark.parametrize("arch, error, leaf", [
+    ([1.5, 2, 1], ValueError, "1.5"),
+    (["1", 2, 1], TypeError, "'1'"),
+    ([1, True, 1], TypeError, "True"),
+], ids=["fraction", "string", "bool"])
+def test_policy_arch_entries_must_be_integers(arch, error, leaf):
+    # each width is cast as an int field is, not truncated by int()
+    with pytest.raises(error, match=f"^arch: expected an integer, got {re.escape(leaf)}$"):
+        PolicyParams.from_json_dict({"arch": arch, "theta": [0.0] * 7})
+    assert PolicyParams.from_json_dict({"arch": [1, 2.0, 1], "theta": [0.0] * 7}).arch == (1, 2, 1)
+
+
+# class -> (a JSON object missing some fields without a default, the fields named)
+MISSING_FIELDS = {
+    "PolicyParams": (PolicyParams, {"activation": "relu"}, "'theta', 'arch'"),
+    "ConstantPolicy": (ConstantPolicy, {}, "'action'"),
+    "EnvConfig": (EnvConfig, {"family": "bandit", "state_dim": 1}, "'env_id', 'episode_length', "
+                  "'action_dim'"),
+    "EvalRecord": (EvalRecord, {"env": "e", "noise": {}, "returns": [1.0]},
+                   "'policy_id', 'master_seed', 'descriptors'"),
+}
+
+
+@pytest.mark.parametrize("name", MISSING_FIELDS)
+def test_from_json_dict_names_every_missing_field_at_once(name):
+    cls, d, named = MISSING_FIELDS[name]
+    with pytest.raises(ValueError, match=f"^{name} needs {re.escape(named)}$"):
+        cls.from_json_dict(d)
+
+
 # Eval-artifact bytes (sorted keys) of two hand-built records: the first
-# without marginals or extra, the second with both and a seed past 32 bits.
+# without marginals, the second with them and a seed past 32 bits.
 EVAL_RECORD_GOLDEN = [
     (
         dict(policy_id="p0", env_id="flat-mean-spread",
@@ -146,10 +177,9 @@ EVAL_RECORD_GOLDEN = [
         dict(policy_id="p1", env_id="point-mass-nav",
              noise=NoiseConfig(kind="param", resample="per-step"), master_seed=np.int64(2**40),
              returns=np.array([-3.25, 0.5]), descriptors=np.array([[0.0, 1.0], [2.0, -1.5]]),
-             state_marginals=np.array([[0.1, 0.2, 0.3], [1e-300, -0.0, 5.0]]),
-             extra={"note": "x", "sizes": [1, 2]}),
+             state_marginals=np.array([[0.1, 0.2, 0.3], [1e-300, -0.0, 5.0]])),
         '{"descriptors": [[0.0, 1.0], [2.0, -1.5]], "env": "point-mass-nav", '
-        '"extra": {"note": "x", "sizes": [1, 2]}, "master_seed": 1099511627776, '
+        '"master_seed": 1099511627776, '
         '"n_evals": 2, "noise": {"kind": "param", "obs_affects_reward": true, '
         '"resample": "per-step", "sigma": 0.02}, "policy_id": "p1", '
         '"returns": [-3.25, 0.5], "state_marginals": {"base64": '
@@ -157,8 +187,9 @@ EVAL_RECORD_GOLDEN = [
         '"dtype": "<f8", "shape": [2, 3]}}',
     ),
 ]
-# The second record as written before state marginals were stored as binary:
-# still read to the same arrays.
+# The second record as written before state marginals were stored as binary,
+# with an "extra" key older records could carry: still read to the same arrays,
+# and the unknown key is not written back.
 EVAL_RECORD_LIST_FORM = (
     '{"descriptors": [[0.0, 1.0], [2.0, -1.5]], "env": "point-mass-nav", '
     '"extra": {"note": "x", "sizes": [1, 2]}, "master_seed": 1099511627776, '
@@ -168,7 +199,7 @@ EVAL_RECORD_LIST_FORM = (
 )
 
 
-@pytest.mark.parametrize("fields,golden", EVAL_RECORD_GOLDEN, ids=["plain", "marginals-extra"])
+@pytest.mark.parametrize("fields,golden", EVAL_RECORD_GOLDEN, ids=["plain", "marginals"])
 def test_eval_record_json_bytes_and_round_trip(fields, golden):
     rec = EvalRecord(**fields)
     d = rec.to_json_dict()
@@ -177,7 +208,6 @@ def test_eval_record_json_bytes_and_round_trip(fields, golden):
     back = EvalRecord.from_json_dict(json.loads(golden))
     assert (back.policy_id, back.env_id, back.noise) == (rec.policy_id, rec.env_id, rec.noise)
     assert back.master_seed == rec.master_seed and type(back.master_seed) is int
-    assert back.extra == rec.extra
     for name in ("returns", "descriptors", "state_marginals"):
         want, got = getattr(rec, name), getattr(back, name)
         assert (got is None) if want is None else np.array_equal(got, want), name

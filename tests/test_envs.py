@@ -54,7 +54,7 @@ def test_env_config_validation_and_round_trip():
     d = off.to_json_dict()
     assert d["start"] == [1.0, 2.0] and d["goal"] == [3.0, 4.0]
     assert EnvConfig.from_json_dict(d) == off
-    with pytest.raises(TypeError, match="env_id"):
+    with pytest.raises(ValueError, match="^EnvConfig needs 'env_id', 'state_dim', 'action_dim'$"):
         EnvConfig.from_json_dict({"family": "bandit", "episode_length": 1})
 
 

@@ -86,6 +86,13 @@ def test_config_from_json_applies_casts():
     assert json.dumps(cfg.to_json_dict()["popsize"]) == "8"
     with pytest.raises(TypeError, match="JSON object"):
         EsConfig.from_json_dict([1])
+    # each arch width is cast as an int field is, not truncated by int()
+    with pytest.raises(ValueError, match="^arch: expected an integer, got 1.5$"):
+        EsConfig.from_json_dict({"arch": [1.5, 8, 1]})
+    with pytest.raises(TypeError, match="^arch: expected an integer, got '1'$"):
+        EsConfig.from_json_dict({"arch": ["1", 8, True]})
+    with pytest.raises(TypeError, match="^arch: expected an integer, got True$"):
+        EsConfig.from_json_dict({"arch": [1, 8, True]})
 
 
 def test_init_center_layout():
