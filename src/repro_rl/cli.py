@@ -37,7 +37,7 @@ from .core import (
     as_str,
     cast_field,
 )
-from .envs import BUILTIN_ENVS, EnvConfig, point_mass_nav
+from .envs import EnvConfig, _check_action, point_mass_nav
 from .metrics import (
     DISP_ESTIMATORS,
     PARETO_COLUMNS,
@@ -72,10 +72,11 @@ class DataError(Exception):
 @dataclass(frozen=True)
 class ExperimentConfig(JsonFields):
     """Everything one train/evaluate invocation needs. An `es.arch` of None is
-    (state_dim, 16, 16, action_dim), and algo "es" or "res" sets `es.fitness_mode`."""
+    (state_dim, 16, 16, action_dim), algo "es" or "res" sets `es.fitness_mode`,
+    and a `constant_action` must fit the env's action box."""
 
-    env: EnvConfig
-    noise: NoiseConfig
+    env: EnvConfig = point_mass_nav()
+    noise: NoiseConfig = NoiseConfig()
     algo: str = "es"
     es: EsConfig = EsConfig(popsize=32, lr=0.05, generations=50)
     n_evals: int = 256
@@ -87,6 +88,7 @@ class ExperimentConfig(JsonFields):
         object.__setattr__(self, "seeds", tuple(cast_field("seeds", as_int, s) for s in self.seeds))
         if self.constant_action is not None:
             action = tuple(cast_field("constant_action", as_float, x) for x in self.constant_action)
+            cast_field("constant_action", functools.partial(_check_action, self.env), action)
             object.__setattr__(self, "constant_action", action)
         if self.algo not in ALGOS:
             raise ConfigError(f"unknown algo {self.algo!r}, valid: {', '.join(ALGOS)}")
@@ -110,36 +112,9 @@ class ExperimentConfig(JsonFields):
             del d["constant_action"]
         return d
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        """Config from JSON. A missing `env` is point-mass-nav, a missing
-        `noise` section is `NoiseConfig()`, a missing `es` section is the `es`
-        field default and a present `es` section fills its gaps from `EsConfig`."""
-        if not isinstance(d, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
-        try:
-            env_entry = d.get("env", {"name": "point-mass-nav"})
-            if "name" in env_entry:
-                name = env_entry["name"]
-                if name not in BUILTIN_ENVS:
-                    raise ConfigError(
-                        f"unknown env {name!r}, valid: {', '.join(sorted(BUILTIN_ENVS))}"
-                    )
-                env = BUILTIN_ENVS[name]()
-            else:
-                env = EnvConfig.from_json_dict(env_entry)
-            sections = {"env": env, "noise": NoiseConfig.from_json_dict(d.get("noise", {}))}
-            if "es" in d:
-                sections["es"] = EsConfig.from_json_dict(d["es"])
-            return super().from_json_dict(d, **sections)
-        except ConfigError:
-            raise
-        except (ValueError, TypeError) as e:
-            raise ConfigError(str(e)) from e
-
 
 def default_config() -> ExperimentConfig:
-    return ExperimentConfig(env=point_mass_nav(), noise=NoiseConfig(kind="init-state"))
+    return ExperimentConfig(noise=NoiseConfig(kind="init-state"))
 
 
 def _read_json(path: str, what: str):
@@ -158,8 +133,15 @@ def _read_json(path: str, what: str):
 
 
 def _run_config(args) -> ExperimentConfig:
-    """The `--config` file's config, with `--seeds` in place of its seeds when given."""
-    cfg = ExperimentConfig.from_json_dict(_read_json(args.config, "config file"))
+    """The `--config` file's config, with `--seeds` in place of its seeds when
+    given; a config its types refuse is a ConfigError."""
+    d = _read_json(args.config, "config file")
+    if not isinstance(d, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
+    try:
+        cfg = ExperimentConfig.from_json_dict(d)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(e)) from e
     if args.seeds is None:
         return cfg
     return dataclasses.replace(cfg, seeds=_parse_list(args.seeds, "--seeds", int))

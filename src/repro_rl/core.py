@@ -16,9 +16,12 @@ import math
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from itertools import chain
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .noise import NoiseConfig
 
 ACTIVATIONS = ("tanh", "relu")
 
@@ -148,8 +151,10 @@ _JSON_CASTS = {
 
 @lru_cache(maxsize=None)
 def _field_casts(cls) -> tuple:
-    """(name, cast, needed) of each field of `cls`: needed when it has no default."""
-    return tuple((f.name, _JSON_CASTS.get(f.type, lambda v: v),
+    """(name, cast, needed) of each field of `cls`: needed when it has no default.
+    A field annotated with a JsonFields class is read by its `from_json_dict`."""
+    sections = {c.__name__: c.from_json_dict for c in JsonFields.__subclasses__()}
+    return tuple((f.name, _JSON_CASTS.get(f.type) or sections.get(f.type, lambda v: v),
                   f.default is MISSING and f.default_factory is MISSING) for f in fields(cls))
 
 
@@ -167,11 +172,13 @@ class JsonFields:
     """JSON round trip of a dataclass, driven by its fields, so each field
     and its default is stated once, in the class body.
 
-    Tuples and arrays become lists. On load a missing key takes the field
-    default, unknown keys are ignored and values are cast by annotation
-    (`bool`, `int`, `float`, `str`, `tuple`, `Optional[tuple]`, `np.ndarray`);
-    a value the cast refuses is a TypeError or ValueError naming the field, and
-    missing fields without a default are one ValueError naming them all.
+    Tuples and arrays become lists, JsonFields values their objects. On load a
+    missing key takes the field default, unknown keys are ignored and values
+    are cast by annotation (`bool`, `int`, `float`, `str`, `tuple`,
+    `Optional[tuple]`, `np.ndarray`, or a JsonFields class, which reads its
+    section); a refusal is a TypeError or ValueError naming the field (`noise:
+    sigma: ...` in a section), and missing fields without a default are one
+    ValueError naming them all.
     """
 
     def to_json_dict(self, **given) -> dict:
@@ -529,10 +536,6 @@ class Trajectory:
     episode_return: Union[float, np.ndarray]
     final_state: np.ndarray
 
-    def state_marginal(self) -> np.ndarray:
-        """Flattened visited-state sequence, length episode_length * state_dim."""
-        return self.states.reshape(*self.states.shape[:-2], -1)
-
 
 @dataclass
 class EvalRecord(JsonFields):
@@ -540,7 +543,7 @@ class EvalRecord(JsonFields):
 
     policy_id: str
     env_id: str
-    noise: "NoiseConfig"
+    noise: NoiseConfig
     master_seed: int
     returns: np.ndarray
     descriptors: np.ndarray
@@ -567,14 +570,11 @@ class EvalRecord(JsonFields):
         `noise` are present, the returns are a non-empty 1-D array of finite
         numbers and the descriptors and state marginals, when present, are 2-D
         with one finite row per return."""
-        from .noise import NoiseConfig
-
         missing = [k for k in ("env", "noise") if k not in d]
         if missing:
             raise ValueError(f"eval record needs {' and '.join(map(repr, missing))}")
         record = super().from_json_dict(
             d, env_id=cast_field("env", as_str, d["env"]),
-            noise=NoiseConfig.from_json_dict(d["noise"]),
             state_marginals=_f8_array(d.get("state_marginals")),
         )
         n = record.returns.shape[0] if record.returns.ndim == 1 else 0

@@ -68,6 +68,20 @@ class EnvConfig(JsonFields):
                 if len(xy) != 2 or not np.all(np.isfinite(xy)):
                     raise ValueError(f"{name} must be 2 finite numbers, got {xy}")
 
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "EnvConfig":
+        """Env from its fields, or from `{"name": n}` for built-in env `n` of
+        `BUILTIN_ENVS`, which takes no other key."""
+        if not isinstance(d, dict) or "name" not in d:
+            return super().from_json_dict(d)
+        name = d["name"]
+        if not isinstance(name, str) or name not in BUILTIN_ENVS:
+            raise ValueError(f"unknown env {name!r}, valid: {', '.join(sorted(BUILTIN_ENVS))}")
+        if len(d) > 1:
+            raise ValueError(f"built-in env {name!r} takes no other key, "
+                             f"got {sorted(set(d) - {'name'})}")
+        return BUILTIN_ENVS[name]()
+
 
 def point_mass_nav(
     episode_length: int = 100,

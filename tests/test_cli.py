@@ -629,6 +629,25 @@ def test_negative_seed_exits_2_naming_seeds(tmp_path, capsys, argv, noise):
     assert not out.exists()
 
 
+def test_experiment_config_defaults_are_the_empty_config():
+    assert ExperimentConfig() == ExperimentConfig.from_json_dict({})
+    assert ExperimentConfig().env == point_mass_nav() and ExperimentConfig().noise == NoiseConfig()
+
+
+def test_experiment_config_round_trips_every_section_off_its_default():
+    env = dataclasses.replace(point_mass_nav(), episode_length=7, goal=(0.5, -0.5))
+    cfg = ExperimentConfig(env=env, noise=NoiseConfig(kind="param", sigma=0.3, resample="per-step"),
+                           algo="scripted", es=EsConfig(popsize=6, generations=3), n_evals=9,
+                           record_state_marginal=True, seeds=(4, 2), constant_action=(0.25, -1.0))
+    d = json.loads(json.dumps(cfg.to_json_dict()))
+    assert ExperimentConfig.from_json_dict(d) == cfg
+    # env by name is the built-in env; a partial es takes EsConfig's defaults for its gaps
+    named = ExperimentConfig.from_json_dict({"env": {"name": "tradeoff-spread"},
+                                             "es": {"popsize": 6, "l2": 0.5}})
+    assert named.env == tradeoff_spread()
+    assert named.es == EsConfig(arch=(1, 16, 16, 1), popsize=6, l2=0.5)
+
+
 def test_experiment_config_rejects_negative_seed():
     with pytest.raises(ConfigError, match="seeds"):
         dataclasses.replace(default_config(), seeds=(0, -1))
@@ -844,6 +863,16 @@ BAD_CONFIGS = {
                         2, "arch"),
     "env-missing-fields": (b'{"env": {"family": "bandit", "episode_length": 1}}', 2,
                            "EnvConfig needs 'env_id', 'state_dim', 'action_dim'"),
+    "env-name-and-field": (b'{"env": {"name": "point-mass-nav", "episode_length": 5}}', 2,
+                           "env: ", "episode_length"),
+    "env-null": (b'{"env": null}', 2, "env: "),
+    "env-string": (b'{"env": "my-name-env"}', 2, "env: "),
+    "env-name-list": (b'{"env": {"name": ["x"]}}', 2, "env: "),
+    "env-name-unknown": (b'{"env": {"name": "maze"}}', 2, "env: ", "'maze'"),
+    "constant-action-short": (b'{"algo": "scripted", "constant_action": [0.5]}', 2,
+                              "constant_action: ", "shape (2,)"),
+    "constant-action-outside-box": (b'{"algo": "scripted", "constant_action": [5, 5]}', 2,
+                                    "constant_action: ", "outside the box"),
 }
 
 
@@ -1147,7 +1176,8 @@ def test_mistyped_config_value_is_refused_naming_the_field(tmp_path, capsys, cas
     rc = main(["train", "--config", write_config(tmp_path / "c.json", **cfg),
                "--out", str(tmp_path / "runs")])
     err = capsys.readouterr().err
-    assert (rc, err.count("\n")) == (2, 1) and err.startswith(f"error: {field}: ")
+    prefix = f"{section}: {field}: " if section else f"{field}: "
+    assert (rc, err.count("\n")) == (2, 1) and err.startswith(f"error: {prefix}")
     assert not (tmp_path / "runs").exists()
 
 

@@ -13,7 +13,6 @@ from repro_rl.core import (
     EvalRecord,
     PolicyParams,
     ShapeError,
-    Trajectory,
     _absorb,
     _emit_states,
     _tag_entropy,
@@ -538,16 +537,3 @@ def test_absorb_equals_seed_sequence_state_for_any_entropy_length_and_split(n_wo
     for split in range(n_words + 1):
         pool = _absorb(np.zeros((4, 3), np.uint32), entropy[:split], 0)
         assert np.array_equal(_emit_states(_absorb(pool, entropy[split:], split)), states), split
-
-
-def test_trajectory_state_marginal_is_flattened_states():
-    states = np.arange(12, dtype=np.float64).reshape(3, 4)
-    traj = Trajectory(
-        states=states,
-        observations=states.copy(),
-        actions=np.zeros((3, 2)),
-        rewards=np.zeros(3),
-        episode_return=0.0,
-        final_state=np.zeros(4),
-    )
-    assert np.array_equal(traj.state_marginal(), np.arange(12, dtype=np.float64))

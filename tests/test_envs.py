@@ -5,6 +5,7 @@ import pytest
 
 from repro_rl.core import ConstantPolicy, ShapeError
 from repro_rl.envs import (
+    BUILTIN_ENVS,
     EnvConfig,
     _check_action,
     descriptor,
@@ -56,6 +57,18 @@ def test_env_config_validation_and_round_trip():
     assert EnvConfig.from_json_dict(d) == off
     with pytest.raises(ValueError, match="^EnvConfig needs 'env_id', 'state_dim', 'action_dim'$"):
         EnvConfig.from_json_dict({"family": "bandit", "episode_length": 1})
+
+
+def test_env_config_reads_a_built_in_env_by_name_alone():
+    for name, make in BUILTIN_ENVS.items():
+        assert EnvConfig.from_json_dict({"name": name}) == make()
+    for d, message in [({"name": "maze"}, "unknown env 'maze'"),
+                       ({"name": ["x"]}, r"unknown env \['x'\]"),
+                       ({"name": "point-mass-nav", "episode_length": 5},
+                        r"built-in env 'point-mass-nav' takes no other key, "
+                        r"got \['episode_length'\]")]:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            EnvConfig.from_json_dict(d)
 
 
 # name -> (env, field changes, the field the refusal names)

@@ -74,7 +74,7 @@ def test_bandit_engine_matches_oracle_exactly():
                 traj = reference_rollout(pol, env, nc, 11, i)
                 assert rec.returns[i] == traj.episode_return, kind
                 assert np.array_equal(rec.descriptors[i], traj.actions[0]), kind
-                assert np.array_equal(rec.state_marginals[i], traj.state_marginal()), kind
+                assert np.array_equal(rec.state_marginals[i], traj.states.reshape(-1)), kind
 
 
 NOISE_CASES = [NoiseConfig(kind=k) for k in ALL_KINDS] + [
@@ -114,7 +114,7 @@ def test_rollout_rows_bit_identical_across_batch_size_and_jobs(noise, make_env, 
     for i in [0, 6, 299]:
         ref = reference_rollout(pol, env, noise, 13, i)
         assert big.returns[i] == ref.episode_return, i
-        assert np.array_equal(big.state_marginals[i], ref.state_marginal()), i
+        assert np.array_equal(big.state_marginals[i], ref.states.reshape(-1)), i
         one = rollout_once(pol, env, noise, 13, i)
         for field in TRAJ_FIELDS:
             assert np.array_equal(getattr(one, field), getattr(ref, field)), (i, field)
