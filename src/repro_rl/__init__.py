@@ -32,7 +32,8 @@ from .metrics import (
     summarize,
 )
 from .noise import NoiseConfig, default_sigma
-from .optim import EsConfig, EsState, optimize_function, train
+from .optim import EsConfig, EsState, ExperimentConfig, evaluate_runs, optimize_function
+from .optim import train, train_runs
 from .rollout import EvalConfig, evaluate, rollout_once
 from .stats import (
     BootstrapCI,
@@ -55,6 +56,7 @@ __all__ = [
     "EsState",
     "EvalConfig",
     "EvalRecord",
+    "ExperimentConfig",
     "LcbConfig",
     "NoiseConfig",
     "ParetoPoint",
@@ -69,6 +71,7 @@ __all__ = [
     "default_sigma",
     "derive_stream",
     "evaluate",
+    "evaluate_runs",
     "flat_mean_spread",
     "iqm",
     "iqr",
@@ -89,4 +92,5 @@ __all__ = [
     "summarize",
     "tradeoff_spread",
     "train",
+    "train_runs",
 ]

@@ -17,27 +17,22 @@ import dataclasses
 import functools
 import glob as globmod
 import io
-import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import List, Optional, Tuple
 
 from .core import (
     ConstantPolicy,
     EvalRecord,
-    JsonFields,
     NumericFailure,
     Policy,
     PolicyParams,
-    as_float,
     as_int,
     as_str,
     cast_field,
 )
-from .envs import EnvConfig, _check_action, point_mass_nav
 from .metrics import (
     DISP_ESTIMATORS,
     PARETO_COLUMNS,
@@ -49,16 +44,10 @@ from .metrics import (
     pareto_rows,
     report_rows,
 )
-from .noise import NoiseConfig
-from .optim import EsConfig, EsState, init_center, train
-from .rollout import EvalConfig, evaluate
+from .optim import ExperimentConfig, default_config, evaluate_runs, train_runs
 
 RUN_SCHEMA = "repro-rl-run"
 EVAL_SCHEMA = "repro-rl-eval"
-
-ALGOS = ("es", "res", "random", "scripted")
-# The algo name decides the ES fitness mode; "res" is the repro variant.
-FITNESS_MODE_OF_ALGO = {"es": "plain", "res": "repro"}
 
 
 class ConfigError(Exception):
@@ -67,54 +56,6 @@ class ConfigError(Exception):
 
 class DataError(Exception):
     """Missing or malformed input artifacts (exit code 1)."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig(JsonFields):
-    """Everything one train/evaluate invocation needs. An `es.arch` of None is
-    (state_dim, 16, 16, action_dim), algo "es" or "res" sets `es.fitness_mode`,
-    and a `constant_action` must fit the env's action box."""
-
-    env: EnvConfig = point_mass_nav()
-    noise: NoiseConfig = NoiseConfig()
-    algo: str = "es"
-    es: EsConfig = EsConfig(popsize=32, lr=0.05, generations=50)
-    n_evals: int = 256
-    record_state_marginal: bool = False
-    seeds: tuple = (0,)
-    constant_action: Optional[tuple] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(cast_field("seeds", as_int, s) for s in self.seeds))
-        if self.constant_action is not None:
-            action = tuple(cast_field("constant_action", as_float, x) for x in self.constant_action)
-            cast_field("constant_action", functools.partial(_check_action, self.env), action)
-            object.__setattr__(self, "constant_action", action)
-        if self.algo not in ALGOS:
-            raise ConfigError(f"unknown algo {self.algo!r}, valid: {', '.join(ALGOS)}")
-        if len(self.seeds) < 1:
-            raise ConfigError("seeds must be non-empty")
-        if min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
-        if self.n_evals < 1:
-            raise ConfigError(f"n_evals must be >= 1, got {self.n_evals}")
-        if self.algo == "scripted" and self.constant_action is None:
-            raise ConfigError("algo 'scripted' requires constant_action")
-        arch = self.es.arch
-        if arch is None:
-            arch = (self.env.state_dim, 16, 16, self.env.action_dim)
-        mode = FITNESS_MODE_OF_ALGO.get(self.algo, self.es.fitness_mode)
-        object.__setattr__(self, "es", dataclasses.replace(self.es, arch=arch, fitness_mode=mode))
-
-    def to_json_dict(self) -> dict:
-        d = super().to_json_dict()
-        if self.constant_action is None:
-            del d["constant_action"]
-        return d
-
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig(noise=NoiseConfig(kind="init-state"))
 
 
 def _read_json(path: str, what: str):
@@ -203,36 +144,26 @@ def _parse_list(text: str, flag: str, cast) -> tuple:
     return values
 
 
-def _train_one(cfg: ExperimentConfig, seed: int) -> Tuple[Policy, int, list]:
-    if cfg.algo in ("es", "res"):
-        state: EsState = train(cfg.es, cfg.env, cfg.noise, seed)
-        return state.center, state.generation, state.history
-    if cfg.algo == "random":
-        return init_center(cfg.es, seed), 0, []
-    return ConstantPolicy(action=cfg.constant_action), 0, []
-
-
 def cmd_train(args) -> int:
     cfg = _run_config(args)
-    for seed in cfg.seeds:
-        try:
-            policy, gens_run, history = _train_one(cfg, seed)
-        except MemoryError as e:
-            raise ConfigError(f"es arch {cfg.es.arch}, popsize {cfg.es.popsize} and n_reevals "
-                              f"{cfg.es.n_reevals} do not fit in memory") from e
-        artifact = {
-            "schema": RUN_SCHEMA,
-            "created_at": _now(),
-            "algo": cfg.algo,
-            "seed": seed,
-            "config": cfg.to_json_dict(),
-            "generations_run": gens_run,
-            "history": history,
-            "final_policy": policy_to_json_dict(policy),
-        }
-        path = os.path.join(args.out, f"train_{cfg.algo}_seed{seed}.json")
-        _dump_json(artifact, path)
-        print(f"wrote {path}")
+    try:
+        for seed, state in train_runs(cfg):
+            artifact = {
+                "schema": RUN_SCHEMA,
+                "created_at": _now(),
+                "algo": cfg.algo,
+                "seed": seed,
+                "config": cfg.to_json_dict(),
+                "generations_run": state.generation,
+                "history": state.history,
+                "final_policy": policy_to_json_dict(state.center),
+            }
+            path = os.path.join(args.out, f"train_{cfg.algo}_seed{seed}.json")
+            _dump_json(artifact, path)
+            print(f"wrote {path}")
+    except MemoryError as e:
+        raise ConfigError(f"es arch {cfg.es.arch}, popsize {cfg.es.popsize} and n_reevals "
+                          f"{cfg.es.n_reevals} do not fit in memory") from e
     return 0
 
 
@@ -264,34 +195,34 @@ def _load_policy_file(path: str) -> Tuple[Policy, str, Optional[str]]:
 
 def cmd_evaluate(args) -> int:
     cfg = _run_config(args)
-    policies = [_load_policy_file(path) for path in _collect_inputs([args.policy])]
+    paths = _collect_inputs([args.policy])
+    policies = [_load_policy_file(path) for path in paths]
     if args.policy_id is not None:
         if len(policies) > 1:
             raise ConfigError(f"--policy-id names one policy, {args.policy} holds {len(policies)}")
-        policies = [(policies[0][0], _policy_id(args.policy_id, "--policy-id", ConfigError),
-                     policies[0][2])]
+        (policy, _, algo), = policies
+        policies = [(policy, _policy_id(args.policy_id, "--policy-id", ConfigError), algo)]
 
     single_file = args.out.endswith(".json")
     if single_file and len(policies) * len(cfg.seeds) > 1:
         raise ConfigError(f"--out {args.out} names one file, {len(policies)} policies x "
                           f"{len(cfg.seeds)} seeds make {len(policies) * len(cfg.seeds)} artifacts")
-    for (policy, policy_id, algo), seed in itertools.product(policies, cfg.seeds):
-        eval_cfg = EvalConfig(cfg.n_evals, seed, record_state_marginal=cfg.record_state_marginal)
-        try:
-            record = evaluate(policy, cfg.env, cfg.noise, eval_cfg, args.jobs, policy_id=policy_id)
-        except MemoryError as e:
-            raise ConfigError(f"n_evals {cfg.n_evals} does not fit in memory") from e
-        artifact = record.to_json_dict()
-        artifact["schema"] = EVAL_SCHEMA
-        artifact["created_at"] = _now()
-        artifact["algo"] = cfg.algo if algo is None else algo
-        artifact["config"] = cfg.to_json_dict()
-        if single_file:
-            path = args.out
-        else:
-            path = os.path.join(args.out, f"eval_{policy_id}_seed{seed}.json")
-        _dump_json(artifact, path)
-        print(f"wrote {path}")
+    ids = [policy_id for _, policy_id, _ in policies]
+    for i, policy_id in enumerate(ids):  # a policy id names its artifacts' files
+        if policy_id in ids[:i]:
+            raise DataError(f"policy files {paths[ids.index(policy_id)]} and {paths[i]} share "
+                            f"policy id {policy_id!r}")
+    algo_of = {policy_id: cfg.algo if algo is None else algo for _, policy_id, algo in policies}
+    try:
+        for record in evaluate_runs(cfg, [policy[:2] for policy in policies], args.jobs):
+            artifact = {**record.to_json_dict(), "schema": EVAL_SCHEMA, "created_at": _now(),
+                        "algo": algo_of[record.policy_id], "config": cfg.to_json_dict()}
+            path = args.out if single_file else os.path.join(
+                args.out, f"eval_{record.policy_id}_seed{record.master_seed}.json")
+            _dump_json(artifact, path)
+            print(f"wrote {path}")
+    except MemoryError as e:
+        raise ConfigError(f"n_evals {cfg.n_evals} does not fit in memory") from e
     return 0
 
 

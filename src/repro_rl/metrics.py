@@ -341,12 +341,15 @@ def _window(w: np.ndarray, eps: float):
     ones (`_edges`), and the count below it; None when over a quarter of w is
     in it. The window is taken from a bracket when it lies in one: _edges of a
     strided sample's order statistics _MARGIN ranks past its middle ones, which
-    then holds w's middle ranks too. Else from one partition of all of w."""
+    then holds w's middle ranks too. Else from one partition of all of w, at
+    once when the cap is under the bracket's 2 _MARGIN + 1 ranks at stride 1."""
     k0, k1, cap = (len(w) - 1) // 2, len(w) // 2, len(w) // 4
-    step = max(1, len(w) // _SAMPLE)
-    ranks = [max(0, k0 // step - _MARGIN), min((len(w) - 1) // step, k1 // step + _MARGIN)]
-    bracket = _edges(*np.sort(w[::step])[ranks], eps)
-    found = _within(w, *bracket, cap)
+    found = None
+    if 2 * _MARGIN < cap:  # a stride over 1 comes with a cap of at least _SAMPLE / 2
+        step = max(1, len(w) // _SAMPLE)
+        ranks = [max(0, k0 // step - _MARGIN), min((len(w) - 1) // step, k1 // step + _MARGIN)]
+        bracket = _edges(*np.sort(w[::step])[ranks], eps)
+        found = _within(w, *bracket, cap)
     if found is not None:
         idx, below = found
         near, k = w[idx], k0 - below

@@ -19,16 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import product
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import JsonFields, NumericFailure, PolicyParams, RngStream, as_int, cast_field
-from .core import dense_layers, derive_stream, param_count, pcg64_raw, state_generator
-from .core import stream_states
-from .envs import EnvConfig
+from .core import ConstantPolicy, EvalRecord, JsonFields, NumericFailure, Policy, PolicyParams
+from .core import RngStream, as_float, as_int, cast_field, dense_layers, derive_stream
+from .core import param_count, pcg64_raw, state_generator, stream_states
+from .envs import EnvConfig, _check_action, point_mass_nav
 from .noise import NoiseConfig
-from .rollout import _rollouts, block_rows
+from .rollout import EvalConfig, _rollouts, block_rows, evaluate
 from .stats import DISPERSION, PERFORMANCE
 
 FITNESS_MODES = ("plain", "repro")
@@ -36,6 +37,10 @@ FITNESS_MODES = ("plain", "repro")
 INIT_TAG = "es-init"
 GEN_TAG = "es-gen"
 FIT_TAG = "es-fit"
+
+ALGOS = ("es", "res", "random", "scripted")
+# The algo name decides the ES fitness mode; "res" is the repro variant.
+FITNESS_MODE_OF_ALGO = {"es": "plain", "res": "repro"}
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,7 @@ class EsConfig(JsonFields):
 class EsState:
     """Search state after some number of generations."""
 
-    center: PolicyParams
+    center: Policy
     generation: int = 0
     history: List[dict] = field(default_factory=list)
 
@@ -275,3 +280,71 @@ def optimize_function(
         theta, row = _generation(theta, g, cfg, gen, lambda ts: [objective(t) for t in ts])
         history.append(row)
     return theta, history
+
+
+@dataclass(frozen=True)
+class ExperimentConfig(JsonFields):
+    """Everything one train/evaluate invocation needs. An `es.arch` of None is
+    (state_dim, 16, 16, action_dim), algo "es" or "res" sets `es.fitness_mode`,
+    and a `constant_action` must fit the env's action box."""
+
+    env: EnvConfig = point_mass_nav()
+    noise: NoiseConfig = NoiseConfig()
+    algo: str = "es"
+    es: EsConfig = EsConfig(popsize=32, lr=0.05, generations=50)
+    n_evals: int = 256
+    record_state_marginal: bool = False
+    seeds: tuple = (0,)
+    constant_action: Optional[tuple] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "seeds", tuple(cast_field("seeds", as_int, s) for s in self.seeds))
+        if self.constant_action is not None:
+            action = tuple(cast_field("constant_action", as_float, x) for x in self.constant_action)
+            cast_field("constant_action", partial(_check_action, self.env), action)
+            object.__setattr__(self, "constant_action", action)
+        if self.algo not in ALGOS:
+            raise ValueError(f"unknown algo {self.algo!r}, valid: {', '.join(ALGOS)}")
+        if len(self.seeds) < 1:
+            raise ValueError("seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
+        if self.n_evals < 1:
+            raise ValueError(f"n_evals must be >= 1, got {self.n_evals}")
+        if self.algo == "scripted" and self.constant_action is None:
+            raise ValueError("algo 'scripted' requires constant_action")
+        arch = self.es.arch
+        if arch is None:
+            arch = (self.env.state_dim, 16, 16, self.env.action_dim)
+        mode = FITNESS_MODE_OF_ALGO.get(self.algo, self.es.fitness_mode)
+        object.__setattr__(self, "es", replace(self.es, arch=arch, fitness_mode=mode))
+
+    def to_json_dict(self) -> dict:
+        d = super().to_json_dict()
+        if self.constant_action is None:
+            del d["constant_action"]
+        return d
+
+
+def default_config() -> ExperimentConfig:
+    return ExperimentConfig(noise=NoiseConfig(kind="init-state"))
+
+
+def train_runs(cfg: ExperimentConfig) -> Iterator[Tuple[int, EsState]]:
+    """(seed, state) of each of cfg.seeds, trained when drawn ("random" and
+    "scripted" at generation 0); a failing seed raises after those before it."""
+    for seed in cfg.seeds:
+        if cfg.algo in FITNESS_MODE_OF_ALGO:
+            yield seed, train(cfg.es, cfg.env, cfg.noise, seed)
+        elif cfg.algo == "random":
+            yield seed, EsState(init_center(cfg.es, seed))
+        else:
+            yield seed, EsState(ConstantPolicy(cfg.constant_action))
+
+
+def evaluate_runs(cfg: ExperimentConfig, policies: Iterable[Tuple[Policy, str]],
+                  jobs: int = 1) -> Iterator[EvalRecord]:
+    """Record of each (policy, policy_id) under each of cfg.seeds, policy-major, made when drawn."""
+    for (policy, policy_id), seed in product(policies, cfg.seeds):
+        eval_cfg = EvalConfig(cfg.n_evals, seed, record_state_marginal=cfg.record_state_marginal)
+        yield evaluate(policy, cfg.env, cfg.noise, eval_cfg, jobs, policy_id=policy_id)

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import repro_rl
-from repro_rl import cli, metrics
+from repro_rl import cli, metrics, optim
 from repro_rl.cli import ConfigError, ExperimentConfig, default_config, main
-from repro_rl.core import EvalRecord, derive_stream
+from repro_rl.core import EvalRecord, NumericFailure, derive_stream
 from repro_rl.envs import point_mass_nav, tradeoff_spread
 from repro_rl.metrics import (
     DISP_ESTIMATORS,
@@ -649,9 +649,9 @@ def test_experiment_config_round_trips_every_section_off_its_default():
 
 
 def test_experiment_config_rejects_negative_seed():
-    with pytest.raises(ConfigError, match="seeds"):
+    with pytest.raises(ValueError, match="seeds"):
         dataclasses.replace(default_config(), seeds=(0, -1))
-    with pytest.raises(ConfigError, match="seeds"):
+    with pytest.raises(ValueError, match="seeds"):
         ExperimentConfig.from_json_dict({"seeds": [-5]})
 
 
@@ -1003,6 +1003,26 @@ def test_evaluate_json_out_with_several_artifacts_exits_2(tmp_path, capsys, poli
     count = policies * len(seeds.split(","))
     assert f"make {count} artifacts" in _expect_one_line_error(capsys, rc, 2)
     assert not (tmp_path / "res.json").exists()
+
+
+@pytest.mark.parametrize("layout", ["glob", "directory"])
+def test_evaluate_refuses_policies_sharing_a_policy_id(tmp_path, capsys, layout):
+    # two runs of one algo and seed would both write eval_es-seed0_seed0.json
+    cfg = write_config(tmp_path / "cfg.json", seeds=[0])
+    for d in "ab":
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / d)]) == 0
+    first, second = tmp_path / "a" / "train_es_seed0.json", tmp_path / "b" / "train_es_seed0.json"
+    art = read_json(second)
+    art["final_policy"]["theta"] = [0.5] * 7
+    if layout == "directory":
+        second = tmp_path / "a" / "z.json"
+    second.write_text(json.dumps(art))
+    policy = str(tmp_path / "?" / "train_es_seed0.json") if layout == "glob" else str(tmp_path / "a")
+    capsys.readouterr()
+    rc = main(["evaluate", "--config", cfg, "--policy", policy, "--out", str(tmp_path / "ev")])
+    err = _expect_one_line_error(capsys, rc, 1)
+    assert err == f"error: policy files {first} and {second} share policy id 'es-seed0'\n"
+    assert not (tmp_path / "ev").exists()
 
 
 def test_readme_cli_quickstart(tmp_path, capsys, monkeypatch):
@@ -1564,3 +1584,92 @@ def test_report_names_an_artifact_too_large_to_parse(tmp_path, capsys, monkeypat
     monkeypatch.setattr(cli.json, "load", load)
     assert main(["report", path, "--metric", "mean"]) == 1
     assert capsys.readouterr().err == f"error: artifact {path} does not fit in memory\n"
+
+
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["first", "middle", "last"])
+def test_train_stops_at_a_failing_seed_after_the_seeds_before_it(tmp_path, capsys, monkeypatch, k):
+    seeds = [4, 7, 9]
+    train = optim.train
+
+    def train_or_fail(es, env, noise, seed):
+        if seed == seeds[k]:
+            raise NumericFailure(f"non-finite fitness at generation 1 of seed {seed}")
+        return train(es, env, noise, seed)
+
+    monkeypatch.setattr(optim, "train", train_or_fail)
+    path = write_config(tmp_path / "cfg.json", seeds=seeds)
+    runs = tmp_path / "runs"
+    assert main(["train", "--config", path, "--out", str(runs)]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: non-finite fitness at generation 1 of seed {seeds[k]}\n"
+    written = [f"train_es_seed{s}.json" for s in seeds[:k]]
+    assert out == "".join(f"wrote {runs / name}\n" for name in written)
+    assert (sorted(os.listdir(runs)) if runs.exists() else []) == written
+    yielded = []
+    with pytest.raises(NumericFailure, match=f"seed {seeds[k]}$"):
+        for seed, _ in optim.train_runs(ExperimentConfig.from_json_dict(read_json(path))):
+            yielded.append(seed)
+    assert yielded == seeds[:k]
+
+
+def _json_text(value):
+    # float repr is unique per bit pattern, so equal texts are equal bits
+    return json.dumps(value, sort_keys=True)
+
+
+LIBRARY_RUNS = {
+    "es": {},
+    "res": {"algo": "res", "es": {"arch": [1, 2, 1], "popsize": 4, "generations": 2,
+                                  "n_reevals": 3}},
+    "random": {"algo": "random"},
+    "scripted": {"algo": "scripted", "constant_action": [0.25]},
+}
+
+
+@pytest.mark.parametrize("algo", LIBRARY_RUNS)
+def test_library_runs_equal_the_cli_artifacts_bit_for_bit(tmp_path, capsys, algo):
+    path = write_config(tmp_path / "cfg.json", noise={"kind": "reward", "sigma": 0.3},
+                        record_state_marginal=True, seeds=[0, 3], **LIBRARY_RUNS[algo])
+    cfg = ExperimentConfig.from_json_dict(read_json(path))
+    runs, evals = tmp_path / "runs", tmp_path / "evals"
+    assert main(["train", "--config", path, "--out", str(runs)]) == 0
+    states = list(repro_rl.train_runs(cfg))
+    assert [seed for seed, _ in states] == [0, 3]
+    for seed, state in states:
+        art = read_json(runs / f"train_{algo}_seed{seed}.json")
+        assert art["generations_run"] == state.generation
+        assert _json_text(art["history"]) == _json_text(state.history)
+        assert (_json_text(cli.policy_from_json_dict(art).to_json_dict())
+                == _json_text(state.center.to_json_dict()))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", path, "--policy", str(runs), "--seeds", "5,1",
+                 "--out", str(evals)]) == 0
+    policies = [(state.center, f"{algo}-seed{seed}") for seed, state in states]
+    records = list(repro_rl.evaluate_runs(dataclasses.replace(cfg, seeds=(5, 1)), policies))
+    names = [f"eval_{r.policy_id}_seed{r.master_seed}.json" for r in records]
+    assert names == [f"eval_{policy_id}_seed{s}.json" for _, policy_id in policies for s in (5, 1)]
+    assert capsys.readouterr().out == "".join(f"wrote {evals / name}\n" for name in names)
+    for name, record in zip(names, records):
+        art = read_json(evals / name)
+        for key in ("returns", "descriptors", "state_marginals"):
+            assert _json_text(art[key]) == _json_text(record.to_json_dict()[key]), (name, key)
+
+
+def test_names_the_benchmark_harness_and_tests_call_stay_in_place(monkeypatch):
+    from repro_rl import evaluate, evaluate_runs, train, train_runs
+    from repro_rl.cli import EVAL_SCHEMA, main, policy_from_json_dict
+    from repro_rl.optim import evaluate as optim_evaluate, train as optim_train
+
+    assert (evaluate, train, optim_evaluate, optim_train) == (
+        repro_rl.rollout.evaluate, repro_rl.optim.train, repro_rl.rollout.evaluate, optim.train)
+    assert all(map(callable, (main, policy_from_json_dict, default_config, ExperimentConfig)))
+    assert EVAL_SCHEMA == "repro-rl-eval" and repro_rl.ExperimentConfig is ExperimentConfig
+    # the runs call train and evaluate through optim's names, which a tracer replaces
+    calls = []
+    monkeypatch.setattr(optim, "train", lambda *a: calls.append("train") or optim_train(*a))
+    monkeypatch.setattr(optim, "evaluate", lambda *a, **k: calls.append("evaluate")
+                        or optim_evaluate(*a, **k))
+    cfg = ExperimentConfig.from_json_dict(TINY_CONFIG)
+    states = list(train_runs(cfg))
+    list(evaluate_runs(cfg, [(state.center, str(seed)) for seed, state in states]))
+    assert calls == ["train"] * 2 + ["evaluate"] * 4

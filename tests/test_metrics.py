@@ -410,6 +410,22 @@ def test_window_from_the_bracket_equals_the_window_from_a_sort(monkeypatch, one_
         assert all(n <= 5000 for n in full), full
 
 
+def test_window_makes_one_pass_when_the_bracket_cannot_fit_the_cap(monkeypatch):
+    # up to 64 points (2,016 distances) the bracket's 2 _MARGIN + 1 ranks exceed
+    # the quarter cap, so the window comes from the partition, in one _within pass
+    calls = {"_window": 0, "_within": 0}
+    for name in calls:
+        fn = getattr(metrics, name)
+        monkeypatch.setattr(metrics, name, lambda *a, fn=fn, name=name: (
+            calls.__setitem__(name, calls[name] + 1), fn(*a))[1])
+    gen = np.random.default_rng(3)
+    for n in (8, 16, 32, 64, 66, 80, 128):
+        calls.update(_window=0, _within=0)
+        pts = gen.standard_normal((n, 3))
+        assert _bits(pairwise_mad(pts)) == _bits(_mad_of_all_pairs(pts)), n
+        assert calls["_within"] == calls["_window"] == 2, (n, calls)
+
+
 def test_near_median_keeps_exact_ties_at_both_window_edges():
     # three w ties on each float32 window edge, and three on each of mid ± 2 eps
     # just inside it: the window holds all 12 (none counted below), and the
