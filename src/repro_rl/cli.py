@@ -146,24 +146,26 @@ def _parse_list(text: str, flag: str, cast) -> tuple:
 
 def cmd_train(args) -> int:
     cfg = _run_config(args)
-    try:
-        for seed, state in train_runs(cfg):
-            artifact = {
-                "schema": RUN_SCHEMA,
-                "created_at": _now(),
-                "algo": cfg.algo,
-                "seed": seed,
-                "config": cfg.to_json_dict(),
-                "generations_run": state.generation,
-                "history": state.history,
-                "final_policy": policy_to_json_dict(state.center),
-            }
-            path = os.path.join(args.out, f"train_{cfg.algo}_seed{seed}.json")
-            _dump_json(artifact, path)
-            print(f"wrote {path}")
-    except MemoryError as e:
-        raise ConfigError(f"es arch {cfg.es.arch}, popsize {cfg.es.popsize} and n_reevals "
-                          f"{cfg.es.n_reevals} do not fit in memory") from e
+    runs = train_runs(cfg)
+    for _ in cfg.seeds:
+        try:  # only making a run, not writing it, can be a misfit
+            seed, state = next(runs)
+        except MemoryError as e:
+            raise ConfigError(f"es arch {cfg.es.arch}, popsize {cfg.es.popsize} and n_reevals "
+                              f"{cfg.es.n_reevals} do not fit in memory") from e
+        artifact = {
+            "schema": RUN_SCHEMA,
+            "created_at": _now(),
+            "algo": cfg.algo,
+            "seed": seed,
+            "config": cfg.to_json_dict(),
+            "generations_run": state.generation,
+            "history": state.history,
+            "final_policy": policy_to_json_dict(state.center),
+        }
+        path = os.path.join(args.out, f"train_{cfg.algo}_seed{seed}.json")
+        _dump_json(artifact, path)
+        print(f"wrote {path}")
     return 0
 
 
@@ -213,16 +215,18 @@ def cmd_evaluate(args) -> int:
             raise DataError(f"policy files {paths[ids.index(policy_id)]} and {paths[i]} share "
                             f"policy id {policy_id!r}")
     algo_of = {policy_id: cfg.algo if algo is None else algo for _, policy_id, algo in policies}
-    try:
-        for record in evaluate_runs(cfg, [policy[:2] for policy in policies], args.jobs):
-            artifact = {**record.to_json_dict(), "schema": EVAL_SCHEMA, "created_at": _now(),
-                        "algo": algo_of[record.policy_id], "config": cfg.to_json_dict()}
-            path = args.out if single_file else os.path.join(
-                args.out, f"eval_{record.policy_id}_seed{record.master_seed}.json")
-            _dump_json(artifact, path)
-            print(f"wrote {path}")
-    except MemoryError as e:
-        raise ConfigError(f"n_evals {cfg.n_evals} does not fit in memory") from e
+    records = evaluate_runs(cfg, [policy[:2] for policy in policies])
+    for _ in range(len(policies) * len(cfg.seeds)):
+        try:
+            record = next(records)
+        except MemoryError as e:
+            raise ConfigError(f"n_evals {cfg.n_evals} does not fit in memory") from e
+        artifact = {**record.to_json_dict(), "schema": EVAL_SCHEMA, "created_at": _now(),
+                    "algo": algo_of[record.policy_id], "config": cfg.to_json_dict()}
+        path = args.out if single_file else os.path.join(
+            args.out, f"eval_{record.policy_id}_seed{record.master_seed}.json")
+        _dump_json(artifact, path)
+        print(f"wrote {path}")
     return 0
 
 

@@ -342,9 +342,9 @@ def train_runs(cfg: ExperimentConfig) -> Iterator[Tuple[int, EsState]]:
             yield seed, EsState(ConstantPolicy(cfg.constant_action))
 
 
-def evaluate_runs(cfg: ExperimentConfig, policies: Iterable[Tuple[Policy, str]],
-                  jobs: int = 1) -> Iterator[EvalRecord]:
+def evaluate_runs(cfg: ExperimentConfig,
+                  policies: Iterable[Tuple[Policy, str]]) -> Iterator[EvalRecord]:
     """Record of each (policy, policy_id) under each of cfg.seeds, policy-major, made when drawn."""
     for (policy, policy_id), seed in product(policies, cfg.seeds):
         eval_cfg = EvalConfig(cfg.n_evals, seed, record_state_marginal=cfg.record_state_marginal)
-        yield evaluate(policy, cfg.env, cfg.noise, eval_cfg, jobs, policy_id=policy_id)
+        yield evaluate(policy, cfg.env, cfg.noise, eval_cfg, policy_id=policy_id)

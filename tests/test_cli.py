@@ -552,6 +552,21 @@ def test_run_beyond_memory_exits_2_naming_the_size(tmp_path, command):
     assert done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", RUNS_BEYOND_MEMORY)
+def test_memory_error_while_writing_is_not_reported_as_a_run_size(tmp_path, monkeypatch, command):
+    cfg = write_config(tmp_path / "cfg.json", algo="scripted", constant_action=[0.5])
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({"action": [0.5]}))
+
+    def dump_json(obj, path):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_dump_json", dump_json)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+    with pytest.raises(MemoryError):
+        main(argv + (["--policy", str(policy)] if command == "evaluate" else []))
+
+
 @pytest.mark.parametrize("metric", ["bmad", "biqr", "smad"])
 def test_report_pairwise_distances_beyond_memory_exit_1(tmp_path, metric):
     # 20,000 episodes need 199,990,000 float64 distances (1.49 GiB), more
