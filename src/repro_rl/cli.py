@@ -144,25 +144,22 @@ def _parse_list(text: str, flag: str, cast) -> tuple:
     return values
 
 
+def _drawn(items, misfit: str):
+    """Each of `items`; a MemoryError while making one is a ConfigError saying `misfit`."""
+    try:
+        yield from items
+    except MemoryError as e:
+        raise ConfigError(misfit) from e
+
+
 def cmd_train(args) -> int:
     cfg = _run_config(args)
-    runs = train_runs(cfg)
-    for _ in cfg.seeds:
-        try:  # only making a run, not writing it, can be a misfit
-            seed, state = next(runs)
-        except MemoryError as e:
-            raise ConfigError(f"es arch {cfg.es.arch}, popsize {cfg.es.popsize} and n_reevals "
-                              f"{cfg.es.n_reevals} do not fit in memory") from e
-        artifact = {
-            "schema": RUN_SCHEMA,
-            "created_at": _now(),
-            "algo": cfg.algo,
-            "seed": seed,
-            "config": cfg.to_json_dict(),
-            "generations_run": state.generation,
-            "history": state.history,
-            "final_policy": policy_to_json_dict(state.center),
-        }
+    misfit = (f"es arch {cfg.es.arch}, popsize {cfg.es.popsize} and n_reevals "
+              f"{cfg.es.n_reevals} do not fit in memory")
+    for seed, state in _drawn(train_runs(cfg), misfit):
+        artifact = {"schema": RUN_SCHEMA, "created_at": _now(), "algo": cfg.algo, "seed": seed,
+                    "config": cfg.to_json_dict(), "generations_run": state.generation,
+                    "history": state.history, "final_policy": policy_to_json_dict(state.center)}
         path = os.path.join(args.out, f"train_{cfg.algo}_seed{seed}.json")
         _dump_json(artifact, path)
         print(f"wrote {path}")
@@ -209,18 +206,14 @@ def cmd_evaluate(args) -> int:
     if single_file and len(policies) * len(cfg.seeds) > 1:
         raise ConfigError(f"--out {args.out} names one file, {len(policies)} policies x "
                           f"{len(cfg.seeds)} seeds make {len(policies) * len(cfg.seeds)} artifacts")
-    ids = [policy_id for _, policy_id, _ in policies]
-    for i, policy_id in enumerate(ids):  # a policy id names its artifacts' files
-        if policy_id in ids[:i]:
-            raise DataError(f"policy files {paths[ids.index(policy_id)]} and {paths[i]} share "
+    path_of = {}  # a policy id names its artifacts' files, so no two policies share one
+    for path, (_, policy_id, _) in zip(paths, policies):
+        if path_of.setdefault(policy_id, path) != path:
+            raise DataError(f"policy files {path_of[policy_id]} and {path} share "
                             f"policy id {policy_id!r}")
     algo_of = {policy_id: cfg.algo if algo is None else algo for _, policy_id, algo in policies}
-    records = evaluate_runs(cfg, [policy[:2] for policy in policies])
-    for _ in range(len(policies) * len(cfg.seeds)):
-        try:
-            record = next(records)
-        except MemoryError as e:
-            raise ConfigError(f"n_evals {cfg.n_evals} does not fit in memory") from e
+    misfit = f"n_evals {cfg.n_evals} does not fit in memory"
+    for record in _drawn(evaluate_runs(cfg, [policy[:2] for policy in policies]), misfit):
         artifact = {**record.to_json_dict(), "schema": EVAL_SCHEMA, "created_at": _now(),
                     "algo": algo_of[record.policy_id], "config": cfg.to_json_dict()}
         path = args.out if single_file else os.path.join(
